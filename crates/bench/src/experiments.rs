@@ -58,8 +58,7 @@ impl SystemKind {
 pub struct ExperimentConfig {
     /// Emulated disk. Default: the paper's evaluation hardware (§6.3,
     /// 170 MB/s HDD + seek). Workload defaults are sized so compute
-    /// dominates I/O at this bandwidth, matching the paper's regime (see
-    /// DESIGN.md §3.4).
+    /// dominates I/O at this bandwidth, matching the paper's regime.
     pub disk: DiskProfile,
     /// Storage budget (paper: 10 GB for their data scale).
     pub storage_budget_bytes: u64,

@@ -6,7 +6,7 @@
 //! micro-benchmarks for the optimizer, codec, engine and ML kernels live
 //! under `benches/`.
 //!
-//! Experiment-to-paper mapping (see DESIGN.md §5 and EXPERIMENTS.md):
+//! Experiment-to-paper mapping:
 //!
 //! * [`experiments::fig5_fig6`] — cumulative run time (Fig 5a–d) and the
 //!   per-iteration component breakdown (Fig 6a–d).
@@ -26,23 +26,18 @@
 //! * [`pipeline`] — the pipelined iteration runtime vs the serial
 //!   engine (speedup, overlap ratio, speculation hit rate); emits
 //!   `BENCH_pipeline.json`.
-//! * [`microbatch`] — intra-node micro-batch co-execution vs whole-frame
-//!   operator execution (load/compute overlap, O(batch) residency);
-//!   emits `BENCH_microbatch.json`.
 //! * [`serve_async`] — open-loop stress of the pooled session runner:
 //!   deterministic Poisson-like arrivals, non-blocking ticket
 //!   collection, latency p50/p99 + SLO burn, and the OS-thread ceiling;
 //!   emits `BENCH_serve_async.json`.
 
 pub mod experiments;
-pub mod microbatch;
 pub mod multi_tenant;
 pub mod pipeline;
 pub mod report;
 pub mod serve_async;
 
 pub use experiments::{ExperimentConfig, SystemKind};
-pub use microbatch::{run_microbatch_bench, MicrobatchBenchConfig, MicrobatchBenchReport};
 pub use multi_tenant::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
 pub use pipeline::{run_pipeline_bench, PipelineBenchConfig, PipelineBenchReport};
 pub use serve_async::{run_serve_async, ServeAsyncConfig, ServeAsyncReport};

@@ -41,7 +41,7 @@
 //! the next iteration's optimizer consumes.
 
 use crate::dsl::Workflow;
-use crate::materialize::{cumulative_run_time, should_materialize_stable, MatStrategy};
+use crate::materialize::{cumulative_run_time, should_materialize, MatStrategy};
 use crate::pipeline::{BackgroundWriter, PrefetchTake, Prefetcher};
 use helix_common::hash::Signature;
 use helix_common::timing::{duration_to_nanos, timed, Nanos};
@@ -89,11 +89,6 @@ pub struct EngineParams<'a> {
     pub tenant: &'a str,
     /// Shared core-token budget; `None` = unconstrained (solo semantics).
     pub core_budget: Option<&'a Arc<CoreBudget>>,
-    /// Previous iterations' elective Algorithm-2 decisions per signature
-    /// (the hysteresis memory; empty map = no history).
-    pub prev_elective: &'a HashMap<Signature, bool>,
-    /// Dead-band fraction for elective decisions (0 = paper-strict).
-    pub hysteresis: f64,
     /// Enable the pipelined lanes (prefetched loads; staged background
     /// writes when `writer` is present). Forced off for the LRU ablation
     /// baseline, whose eviction is timing-coupled. Outputs, catalog
@@ -104,12 +99,6 @@ pub struct EngineParams<'a> {
     /// The session's background materialization writer (the write lane).
     /// `None` or `pipeline == false` keeps the serial inline writes.
     pub writer: Option<&'a BackgroundWriter>,
-    /// Micro-batch streaming: partitionable operators execute as a
-    /// stream of `microbatch_rows`-row partitions through overlapped
-    /// load/compute/commit lanes (`crate::microbatch`). 0 disables.
-    /// Byte-identical to whole-frame execution — an execution detail,
-    /// like `workers`.
-    pub microbatch_rows: usize,
 }
 
 /// What an iteration produced.
@@ -121,9 +110,9 @@ pub struct ExecOutcome {
     /// Measured compute times by signature (feeds the next OEP),
     /// in node-id order regardless of completion order.
     pub compute_times: Vec<(Signature, Nanos)>,
-    /// Elective Algorithm-2 decisions made this iteration, for the
-    /// session's hysteresis memory (empty under AM/NM).
-    pub elective_decisions: Vec<(Signature, bool)>,
+    /// Signatures Algorithm 2 decided electively this iteration, either
+    /// way (empty under AM/NM).
+    pub elective_decisions: Vec<Signature>,
 }
 
 /// What one worker reports back for one executed node.
@@ -159,11 +148,8 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         seed,
         tenant,
         core_budget,
-        prev_elective,
-        hysteresis,
         pipeline,
         writer,
-        microbatch_rows,
     } = params;
     let dag = wf.dag();
     let n = dag.len();
@@ -228,9 +214,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         prefetch: prefetcher.as_ref(),
         epoch,
         iteration,
-        workers,
-        core_budget,
-        microbatch_rows,
     };
     let mut coord = Coordinator {
         wf,
@@ -241,8 +224,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         budget_bytes,
         iteration,
         tenant,
-        prev_elective,
-        hysteresis,
         writer: if pipelined { writer } else { None },
         prefetch: prefetcher.as_ref(),
         load_spans: Vec::new(),
@@ -513,14 +494,6 @@ struct NodeRunner<'a> {
     epoch: Instant,
     /// Iteration number, as a trace label only.
     iteration: u64,
-    /// Nominal worker width — the compute-lane ceiling for streamed
-    /// micro-batch execution (same meaning as for data-parallel maps).
-    workers: usize,
-    /// Shared core budget, so streamed lanes beyond the first are leased
-    /// from the same tokens node- and data-level parallelism use.
-    core_budget: Option<&'a Arc<CoreBudget>>,
-    /// Partition size for micro-batch streaming; 0 = whole-frame.
-    microbatch_rows: usize,
 }
 
 impl NodeRunner<'_> {
@@ -600,44 +573,7 @@ impl NodeRunner<'_> {
                     self.pool.clone(),
                     self.seed ^ (self.sigs[i].0 as u64) ^ ((self.sigs[i].0 >> 64) as u64),
                 );
-                // Micro-batch co-execution: a partitionable operator runs
-                // as a partition stream with overlapped load/compute/
-                // commit lanes. Byte-identical to whole-frame execution
-                // by construction (see `crate::microbatch`), so nothing
-                // downstream — signatures, plans, mat decisions — can
-                // tell the difference.
-                let stream_spec = (self.microbatch_rows > 0)
-                    .then(|| spec.operator.partitionable())
-                    .flatten()
-                    .filter(|ps| {
-                        inputs
-                            .get(ps.partition_input)
-                            .and_then(|v| v.as_collection().ok())
-                            .is_some_and(|c| c.len() >= ps.min_rows.max(1))
-                    });
-                let (result, run_nanos) = match stream_spec {
-                    Some(ps) => {
-                        let labels = crate::microbatch::StreamLabels {
-                            node: spec.name.as_str(),
-                            tenant: self.tenant,
-                            iteration: self.iteration,
-                        };
-                        timed(|| {
-                            crate::microbatch::execute_streamed(
-                                spec.operator.as_ref(),
-                                &ps,
-                                &inputs,
-                                &ctx,
-                                self.microbatch_rows,
-                                self.workers,
-                                self.core_budget.map(|b| b.as_ref()),
-                                &labels,
-                            )
-                            .map(|(value, _report)| value)
-                        })
-                    }
-                    None => timed(|| spec.operator.execute(&inputs, &ctx)),
-                };
+                let (result, run_nanos) = timed(|| spec.operator.execute(&inputs, &ctx));
                 // Provenance enforcement: an operator that consumed the
                 // seed without declaring SEED would be stored under a
                 // seed-independent signature, silently serving one seed's
@@ -683,8 +619,6 @@ struct Coordinator<'a> {
     budget_bytes: u64,
     iteration: u64,
     tenant: &'a str,
-    prev_elective: &'a HashMap<Signature, bool>,
-    hysteresis: f64,
     /// The write lane: when present, materializations are staged (index
     /// now, file later) instead of written inline.
     writer: Option<&'a BackgroundWriter>,
@@ -697,7 +631,7 @@ struct Coordinator<'a> {
     /// The current plan's signatures: quota eviction must never remove an
     /// artifact this very iteration still intends to load.
     protected: HashSet<Signature>,
-    elective_decisions: Vec<(Signature, bool)>,
+    elective_decisions: Vec<Signature>,
     cross_loads: usize,
     cache: &'a SharedValueCache,
     memory: &'a SharedMemoryTracker,
@@ -845,17 +779,15 @@ impl Coordinator<'_> {
             let used = self.catalog.used_bytes_for(self.tenant);
             let budget_remaining = self.budget_bytes.saturating_sub(used);
             let mandatory = spec.is_output && self.strategy != MatStrategy::Never;
-            let elective = should_materialize_stable(
+            let elective = should_materialize(
                 self.strategy,
                 cumulative_run_time(self.wf.dag(), &self.incurred, node),
                 self.catalog.disk().estimate_load_nanos(size),
                 size,
                 budget_remaining,
-                self.prev_elective.get(&self.sigs[i]).copied(),
-                self.hysteresis,
             );
             if self.strategy == MatStrategy::Opt {
-                self.elective_decisions.push((self.sigs[i], elective));
+                self.elective_decisions.push(self.sigs[i]);
             }
             if mandatory || elective {
                 let _span = helix_obs::span(helix_obs::layer::ENGINE, "materialize")
@@ -1002,11 +934,8 @@ mod tests {
             seed: 7,
             tenant: "",
             core_budget: None,
-            prev_elective: &HashMap::new(),
-            hysteresis: 0.0,
             pipeline: false,
             writer: None,
-            microbatch_rows: 0,
         })
         .unwrap()
     }
@@ -1066,11 +995,8 @@ mod tests {
             seed: 7,
             tenant: "",
             core_budget: None,
-            prev_elective: &HashMap::new(),
-            hysteresis: 0.0,
             pipeline: false,
             writer: None,
-            microbatch_rows: 0,
         })
         .unwrap();
         assert_eq!(outcome.outputs["c"].as_scalar().unwrap().as_f64(), Some(11.0));
@@ -1101,11 +1027,8 @@ mod tests {
             seed: 7,
             tenant: "",
             core_budget: None,
-            prev_elective: &HashMap::new(),
-            hysteresis: 0.0,
             pipeline: false,
             writer: None,
-            microbatch_rows: 0,
         })
         .unwrap();
         // Only the mandatory output may be present.
@@ -1135,11 +1058,8 @@ mod tests {
                 seed: 7,
                 tenant: "",
                 core_budget: None,
-                prev_elective: &HashMap::new(),
-                hysteresis: 0.0,
                 pipeline: false,
                 writer: None,
-                microbatch_rows: 0,
             });
             assert!(err.is_err(), "workers={workers}");
         }
@@ -1173,11 +1093,8 @@ mod tests {
             seed: 7,
             tenant: "",
             core_budget: None,
-            prev_elective: &HashMap::new(),
-            hysteresis: 0.0,
             pipeline: false,
             writer: None,
-            microbatch_rows: 0,
         });
         let message = match err {
             Err(err) => format!("{err}"),
@@ -1216,11 +1133,8 @@ mod tests {
             seed: 1,
             tenant: "",
             core_budget: None,
-            prev_elective: &HashMap::new(),
-            hysteresis: 0.0,
             pipeline: false,
             writer: None,
-            microbatch_rows: 0,
         })
         .expect("declared seed use executes");
         assert!(outcome.outputs.contains_key("b"));
@@ -1334,11 +1248,8 @@ mod tests {
                 seed: 7,
                 tenant: "",
                 core_budget: None,
-                prev_elective: &HashMap::new(),
-                hysteresis: 0.0,
                 pipeline: false,
                 writer: None,
-                microbatch_rows: 0,
             });
             let Err(err) = result else {
                 panic!("workers={workers}: expected an error");
@@ -1392,11 +1303,8 @@ mod tests {
                 seed: 7,
                 tenant: "",
                 core_budget: None,
-                prev_elective: &HashMap::new(),
-                hysteresis: 0.0,
                 pipeline: false,
                 writer: None,
-                microbatch_rows: 0,
             });
             assert!(result.is_err(), "workers={workers}");
             let entries: Vec<String> =
@@ -1408,62 +1316,6 @@ mod tests {
             "failed iteration must leave the same catalog at any worker count"
         );
         assert_eq!(catalog_sigs[0].len(), 1, "exactly slow_ok's artifact survives");
-    }
-
-    #[test]
-    fn microbatch_streaming_is_byte_identical_to_whole_frame() {
-        use helix_data::{FieldValue, Record, RecordBatch, Schema};
-        let build = || {
-            let mut wf = Workflow::new("stream");
-            let raw = wf.source("raw", 1, |_| {
-                let schema = Schema::new(["line"]);
-                let rows = (0..200)
-                    .map(|i| Record::train(vec![FieldValue::Text(format!("{i},v{i}"))]))
-                    .collect();
-                Ok(Value::records(RecordBatch::new(schema, rows)?))
-            });
-            let parsed = wf.csv_scan("parsed", raw, &["id", "val"]);
-            let ext = wf.field_extractor("ext", parsed, "val");
-            wf.output(ext);
-            wf
-        };
-        let run = |microbatch_rows: usize, workers: usize| {
-            let wf = build();
-            let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
-            let sigs = chain_signatures(&wf, &HashMap::new(), &ExecEnv::new(7));
-            let states = vec![State::Compute; wf.len()];
-            let outcome = execute(EngineParams {
-                wf: &wf,
-                states: &states,
-                sigs: &sigs,
-                catalog: &catalog,
-                strategy: MatStrategy::Always,
-                budget_bytes: u64::MAX,
-                workers,
-                cache_policy: CachePolicy::Eager,
-                iteration: 0,
-                seed: 7,
-                tenant: "",
-                core_budget: None,
-                prev_elective: &HashMap::new(),
-                hysteresis: 0.0,
-                pipeline: false,
-                writer: None,
-                microbatch_rows,
-            })
-            .unwrap();
-            let entries: Vec<String> =
-                catalog.entries().iter().map(|e| e.signature.clone()).collect();
-            (format!("{:?}", outcome.outputs["ext"]), entries)
-        };
-        let (whole_out, whole_entries) = run(0, 1);
-        for batch in [1usize, 7, 64, 200, 201] {
-            for workers in [1usize, 4] {
-                let (out, entries) = run(batch, workers);
-                assert_eq!(out, whole_out, "batch={batch} workers={workers}");
-                assert_eq!(entries, whole_entries, "batch={batch} workers={workers}");
-            }
-        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod driver;
 pub mod dsl;
 pub mod engine;
 pub mod materialize;
-pub mod microbatch;
 pub mod operator;
 pub mod ops;
 pub mod pipeline;
@@ -84,8 +83,7 @@ pub mod prelude {
 pub use driver::{drive_overlapped, speculate_budgeted, SessionDriver, Step};
 pub use dsl::Workflow;
 pub use materialize::MatStrategy;
-pub use microbatch::{execute_streamed, partition_bounds, StreamLabels, StreamReport};
-pub use operator::{Operator, PartitionSpec, ProvenanceInputs, SeededOperator};
+pub use operator::{Operator, ProvenanceInputs, SeededOperator};
 pub use pipeline::{speculate, BackgroundWriter, Prefetcher, SpeculationInputs, SpeculativePlan};
 pub use session::{
     IterationReport, ReuseScope, Session, SessionConfig, SessionHandles, DEFAULT_SEED,

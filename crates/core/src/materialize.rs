@@ -51,59 +51,13 @@ pub fn should_materialize(
     size_bytes: u64,
     budget_remaining_bytes: u64,
 ) -> bool {
-    should_materialize_stable(
-        strategy,
-        cumulative_nanos,
-        projected_load_nanos,
-        size_bytes,
-        budget_remaining_bytes,
-        None,
-        0.0,
-    )
-}
-
-/// Algorithm 2 with a hysteresis dead band (ROADMAP stability item).
-///
-/// The paper's rule compares a *measured* `C(n)` against `2·l(n)`; when
-/// the two sides are within scheduling noise of each other the decision
-/// flips between reruns, which makes rerun timings (and catalogs)
-/// unstable. `band` widens the threshold into a dead zone
-/// `[2l·(1−band), 2l·(1+band)]` that remembers the previous decision for
-/// the same signature:
-///
-/// * previously **materialized** → keep materializing until `C` falls
-///   below the *lower* edge;
-/// * previously **skipped** → start materializing only once `C` clears
-///   the *upper* edge;
-/// * no history (or `band == 0`) → the paper's strict `C > 2l`.
-///
-/// The storage-budget admission check is unaffected by the band.
-#[allow(clippy::too_many_arguments)]
-pub fn should_materialize_stable(
-    strategy: MatStrategy,
-    cumulative_nanos: Nanos,
-    projected_load_nanos: Nanos,
-    size_bytes: u64,
-    budget_remaining_bytes: u64,
-    previous: Option<bool>,
-    band: f64,
-) -> bool {
     match strategy {
         MatStrategy::Never => false,
         MatStrategy::Always => true,
+        // A `2l` that overflows exceeds every representable `C`.
         MatStrategy::Opt => {
-            if size_bytes > budget_remaining_bytes {
-                return false;
-            }
-            // Nanos in this workspace stay far below 2^53, so the f64
-            // comparison is exact whenever the band is zero.
-            let base = 2.0 * projected_load_nanos as f64;
-            let threshold = match previous {
-                Some(true) => base * (1.0 - band.clamp(0.0, 1.0)),
-                Some(false) => base * (1.0 + band.clamp(0.0, 1.0)),
-                None => base,
-            };
-            cumulative_nanos as f64 > threshold
+            size_bytes <= budget_remaining_bytes
+                && cumulative_nanos > projected_load_nanos.saturating_mul(2)
         }
     }
 }
@@ -323,47 +277,20 @@ mod tests {
     fn decision_rule_matches_algorithm2() {
         // C > 2l and budget ok → materialize.
         assert!(should_materialize(MatStrategy::Opt, 100, 40, 10, 100));
-        // C = 2l → no.
+        // The boundary is strict: C = 2l → no, C = 2l + 1 → yes.
         assert!(!should_materialize(MatStrategy::Opt, 80, 40, 10, 100));
+        assert!(should_materialize(MatStrategy::Opt, 81, 40, 10, 100));
+        // Near the top of the range 2l is still exact, and one past it
+        // overflows to "never" instead of wrapping or panicking.
+        let half = u64::MAX / 2;
+        assert!(should_materialize(MatStrategy::Opt, u64::MAX, half, 10, 100));
+        assert!(!should_materialize(MatStrategy::Opt, u64::MAX - 1, half, 10, 100));
+        assert!(!should_materialize(MatStrategy::Opt, u64::MAX, half + 1, 10, 100));
         // Budget exhausted → no.
         assert!(!should_materialize(MatStrategy::Opt, 100, 40, 200, 100));
         // AM ignores the economics; NM ignores everything.
         assert!(should_materialize(MatStrategy::Always, 0, 1_000, 1, 0));
         assert!(!should_materialize(MatStrategy::Never, u64::MAX, 0, 0, u64::MAX));
-    }
-
-    #[test]
-    fn hysteresis_dead_band_stabilizes_near_threshold_decisions() {
-        // l = 40 → strict threshold 80; band 0.25 → dead zone [60, 100].
-        let band = 0.25;
-        // Inside the dead zone the previous decision sticks…
-        for c in [61, 80, 99] {
-            assert!(
-                should_materialize_stable(MatStrategy::Opt, c, 40, 10, 1_000, Some(true), band),
-                "C={c}: a previously materialized node keeps materializing"
-            );
-            assert!(
-                !should_materialize_stable(MatStrategy::Opt, c, 40, 10, 1_000, Some(false), band),
-                "C={c}: a previously skipped node stays skipped"
-            );
-        }
-        // …outside it, the measurement wins regardless of history.
-        assert!(!should_materialize_stable(MatStrategy::Opt, 59, 40, 10, 1_000, Some(true), band));
-        assert!(should_materialize_stable(MatStrategy::Opt, 101, 40, 10, 1_000, Some(false), band));
-        // No history or zero band reduce to the paper's strict rule.
-        assert!(should_materialize_stable(MatStrategy::Opt, 81, 40, 10, 1_000, None, band));
-        assert!(!should_materialize_stable(MatStrategy::Opt, 80, 40, 10, 1_000, None, band));
-        assert!(should_materialize_stable(MatStrategy::Opt, 81, 40, 10, 1_000, Some(false), 0.0));
-        // Budget admission is band-independent.
-        assert!(!should_materialize_stable(
-            MatStrategy::Opt,
-            1_000,
-            1,
-            2_000,
-            1_000,
-            Some(true),
-            band
-        ));
     }
 
     #[test]

@@ -25,50 +25,19 @@ pub struct ExecContext {
     /// operator's [`Operator::byte_affecting_inputs`] declaration after
     /// every execution: an operator that consumes the seed without
     /// declaring it would be keyed seed-independently and silently
-    /// poison cross-tenant reuse, so that is a hard error. Shared
-    /// across partition contexts so a streamed execution reports seed
-    /// usage exactly like the whole-frame run would.
-    seed_read: Arc<std::sync::atomic::AtomicBool>,
-    /// Global row index of the first row of the slice this context
-    /// executes over. 0 for whole-frame execution; partition-streamed
-    /// execution sets it to the partition's start offset so per-row
-    /// provenance (`SemanticUnit::origin`) stays globally indexed and
-    /// byte-identical to the whole-frame run.
-    base_origin: u32,
+    /// poison cross-tenant reuse, so that is a hard error.
+    seed_read: std::sync::atomic::AtomicBool,
 }
 
 impl ExecContext {
     /// A context over `pool` with a resolved per-node seed.
     pub fn new(pool: WorkerPool, seed: u64) -> ExecContext {
-        ExecContext {
-            pool,
-            seed,
-            seed_read: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            base_origin: 0,
-        }
+        ExecContext { pool, seed, seed_read: std::sync::atomic::AtomicBool::new(false) }
     }
 
     /// A serial context for tests.
     pub fn serial(seed: u64) -> ExecContext {
         Self::new(WorkerPool::serial(), seed)
-    }
-
-    /// A context for executing one partition of a streamed node: same
-    /// seed, shared seed-read flag, row-serial pool (the streaming
-    /// dispatcher's lanes are the parallelism), and a global base row
-    /// offset for provenance stamping.
-    pub fn partition(&self, base_origin: u32) -> ExecContext {
-        ExecContext {
-            pool: WorkerPool::serial(),
-            seed: self.seed,
-            seed_read: Arc::clone(&self.seed_read),
-            base_origin,
-        }
-    }
-
-    /// Global row index of this context's first input row (see field doc).
-    pub fn base_origin(&self) -> u32 {
-        self.base_origin
     }
 
     /// The deterministic per-node seed. Reading it marks the execution
@@ -100,8 +69,8 @@ impl ExecContext {
 ///
 /// Deliberately *excluded* from this set is everything that cannot
 /// change bytes: worker counts, core budgets, storage budgets, cache
-/// policy, materialization hysteresis — the engine's determinism
-/// contract guarantees those only move time, never results.
+/// policy — the engine's determinism contract guarantees those only
+/// move time, never results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProvenanceInputs(u8);
 
@@ -130,33 +99,6 @@ impl ProvenanceInputs {
     }
 }
 
-/// Batchability capability of an operator: how its execution can be
-/// split into independent fixed-boundary partitions of one collection
-/// input. An operator advertising `PartitionSpec` promises that for any
-/// contiguous split of the partition input into row ranges, executing
-/// each range (with [`ExecContext::base_origin`] set to the range start)
-/// and concatenating the outputs in range order is byte-identical to one
-/// whole-frame execution. That makes batching a pure execution detail —
-/// like worker count — and lets the engine stream partitions through
-/// overlapped load/compute/commit lanes without touching signatures,
-/// plans, or materialization decisions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartitionSpec {
-    /// Index of the input to partition by row range. All other inputs
-    /// are passed whole to every partition.
-    pub partition_input: usize,
-    /// Minimum rows for streaming to be worthwhile; below this the
-    /// engine runs whole-frame.
-    pub min_rows: usize,
-}
-
-impl PartitionSpec {
-    /// Partition by row ranges of input `partition_input`.
-    pub fn on_input(partition_input: usize) -> PartitionSpec {
-        PartitionSpec { partition_input, min_rows: 1 }
-    }
-}
-
 /// An executable workflow operator.
 ///
 /// Operators are pure functions of their inputs plus the environment
@@ -179,17 +121,6 @@ pub trait Operator: Send + Sync {
     /// closures in [`SeededOperator`] to get the declaration for free.
     fn byte_affecting_inputs(&self) -> ProvenanceInputs {
         ProvenanceInputs::NONE
-    }
-
-    /// Whether this operator can execute as independent row-range
-    /// partitions of one input (see [`PartitionSpec`]). The default —
-    /// `None` — keeps whole-frame execution; row-local operators
-    /// (per-row parses, per-row feature extraction, per-example
-    /// prediction) override this to opt into micro-batch streaming.
-    /// Operators with cross-row state (global fits like quantile
-    /// bucketizers or learners, multi-input row alignment) must not.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        None
     }
 }
 
@@ -295,24 +226,6 @@ mod tests {
         let c = ExecContext::serial(6).rng().next_u64();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn partition_contexts_share_seed_state_and_carry_offsets() {
-        let ctx = ExecContext::serial(11);
-        let part = ctx.partition(40);
-        assert_eq!(part.base_origin(), 40);
-        assert_eq!(ctx.base_origin(), 0);
-        assert!(!ctx.seed_was_read());
-        assert_eq!(part.seed(), 11);
-        assert!(ctx.seed_was_read(), "partition seed reads surface on the node context");
-    }
-
-    #[test]
-    fn operators_default_to_whole_frame() {
-        let plain = |_inputs: &[Arc<Value>], _ctx: &ExecContext| Ok(Value::Scalar(Scalar::I64(1)));
-        assert_eq!(Operator::partitionable(&plain), None);
-        assert_eq!(PartitionSpec::on_input(1), PartitionSpec { partition_input: 1, min_rows: 1 });
     }
 
     #[test]

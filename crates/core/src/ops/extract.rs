@@ -6,7 +6,7 @@
 //! or materialize each extractor independently — the granularity at which
 //! the Census experiment's feature-engineering iterations operate.
 
-use crate::operator::{ExecContext, Operator, PartitionSpec};
+use crate::operator::{ExecContext, Operator};
 use helix_common::{HelixError, Result};
 use helix_data::{FeatureBundle, SemanticUnit, UnitBatch, Value};
 use helix_ml::preprocess::QuantileBucketizer;
@@ -49,12 +49,7 @@ impl Operator for FieldExtractor {
             };
             SemanticUnit { origin: 0, split: row.split, features, key: None }
         });
-        Ok(Value::units(with_origins(units, ctx.base_origin())))
-    }
-
-    /// Row-local: each unit depends only on its own record.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec::on_input(0))
+        Ok(Value::units(with_origins(units)))
     }
 }
 
@@ -98,11 +93,8 @@ impl Operator for BucketizerExtractor {
             };
             SemanticUnit { origin: 0, split: row.split, features, key: None }
         });
-        Ok(Value::units(with_origins(units, ctx.base_origin())))
+        Ok(Value::units(with_origins(units)))
     }
-    // Deliberately NOT partitionable: the quantile fit is a global pass
-    // over every row, so a partition's buckets would diverge from the
-    // whole-frame discretization.
 }
 
 /// The paper's `InteractionFeature(Array(eduExt, occExt))` (Figure 3a line
@@ -193,12 +185,7 @@ impl Operator for TokenizeColumn {
                 key: None,
             }
         });
-        Ok(Value::units(with_origins(units, ctx.base_origin())))
-    }
-
-    /// Row-local: tokenization never looks across rows.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec::on_input(0))
+        Ok(Value::units(with_origins(units)))
     }
 }
 
@@ -235,23 +222,15 @@ where
             features: (self.udf)(row, schema),
             key: None,
         });
-        Ok(Value::units(with_origins(units, ctx.base_origin())))
-    }
-
-    /// Row-local by construction: the UDF sees one record at a time.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec::on_input(0))
+        Ok(Value::units(with_origins(units)))
     }
 }
 
 /// Stamp sequential origins onto parallel-map output (the map preserves
-/// input order, so index == origin). `base` is the global index of the
-/// first row — 0 for whole-frame execution, the partition's start offset
-/// under micro-batch streaming — so streamed and whole-frame origins are
-/// byte-identical.
-fn with_origins(mut units: Vec<SemanticUnit>, base: u32) -> UnitBatch {
+/// input order, so index == origin).
+fn with_origins(mut units: Vec<SemanticUnit>) -> UnitBatch {
     for (i, u) in units.iter_mut().enumerate() {
-        u.origin = base + i as u32;
+        u.origin = i as u32;
     }
     UnitBatch::new(units)
 }
@@ -279,7 +258,7 @@ mod tests {
         let units = binding.as_units().unwrap();
         assert_eq!(units.len(), 3);
         assert_eq!(units.units[0].features, FeatureBundle::Numeric(vec![("age".into(), 25.0)]));
-        assert_eq!(units.units[0].origin, 0);
+        assert_eq!(units.units.iter().map(|u| u.origin).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(units.units[2].split, Split::Test);
 
         let out = FieldExtractor::new("education")
@@ -292,15 +271,6 @@ mod tests {
             FeatureBundle::Categorical(vec![("education".into(), "PhD".into())])
         );
         assert_eq!(units.units[2].features, FeatureBundle::Empty, "null → empty bundle");
-    }
-
-    #[test]
-    fn partition_context_offsets_origins() {
-        let ctx = ExecContext::serial(0).partition(10);
-        let out = FieldExtractor::new("age").execute(&[census_batch()], &ctx).unwrap();
-        let binding = out.as_collection().unwrap();
-        let units = binding.as_units().unwrap();
-        assert_eq!(units.units.iter().map(|u| u.origin).collect::<Vec<_>>(), vec![10, 11, 12]);
     }
 
     #[test]

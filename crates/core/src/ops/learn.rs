@@ -7,7 +7,7 @@
 //! scenario where `predictions` is deprecated by a model change but
 //! `income` is not).
 
-use crate::operator::{ExecContext, Operator, PartitionSpec, ProvenanceInputs};
+use crate::operator::{ExecContext, Operator, ProvenanceInputs};
 use helix_common::{HelixError, Result};
 use helix_data::{Example, ExampleBatch, FeatureBundle, Model, TransformModel, Value};
 use helix_ml::{KMeans, LogisticRegression, NaiveBayes, RandomFourierFeatures, Word2Vec};
@@ -226,12 +226,6 @@ impl Operator for Predict {
                 "embeddings are consumed by embed-entities, not predict",
             )),
         }
-    }
-
-    /// Example-local inference: partition the data input (input 1); the
-    /// model input is passed whole to every partition.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec { partition_input: 1, min_rows: 1 })
     }
 }
 

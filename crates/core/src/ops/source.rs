@@ -1,6 +1,6 @@
 //! Data sources and parsing operators (paper: `FileSource`, `Scanner`).
 
-use crate::operator::{ExecContext, Operator, PartitionSpec, ProvenanceInputs};
+use crate::operator::{ExecContext, Operator, ProvenanceInputs};
 use helix_common::{HelixError, Result};
 use helix_data::{Record, RecordBatch, Schema, Value};
 use std::sync::Arc;
@@ -85,12 +85,6 @@ impl Operator for CsvScan {
         let rows: Result<Vec<Record>> = rows.into_iter().collect();
         Ok(Value::records(RecordBatch::new(Arc::clone(&self.schema), rows?)?))
     }
-
-    /// Line-local parse: any row-range split concatenates to the
-    /// whole-frame parse (first parse error in row order either way).
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec::on_input(0))
-    }
 }
 
 /// Generic flat-mapping Scanner (paper §3.2.2: "for each input element, it
@@ -140,12 +134,6 @@ where
             rows.append(&mut chunk);
         }
         Ok(Value::records(RecordBatch::new(Arc::clone(&self.out_schema), rows)?))
-    }
-
-    /// Flat-map is row-local: per-partition concat of per-row chunks
-    /// equals the whole-frame concat.
-    fn partitionable(&self) -> Option<PartitionSpec> {
-        Some(PartitionSpec::on_input(0))
     }
 }
 

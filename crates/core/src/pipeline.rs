@@ -2,7 +2,7 @@
 //! *iterate → reuse → iterate* loop the paper is about (ROADMAP
 //! "pipeline across iterations"; plan-then-execute split à la the Helix
 //! LLM-serving follow-up, arXiv:2406.01566; I/O hidden under compute as
-//! in micro-batch co-execution, arXiv:2411.15871).
+//! in arXiv:2411.15871).
 //!
 //! Three lanes run beside the engine's compute frontier:
 //!

@@ -35,7 +35,7 @@ use helix_exec::{CachePolicy, CoreBudget, IterationMetrics};
 use helix_flow::oep::State;
 use helix_storage::catalog::SOLO_OWNER;
 use helix_storage::{DiskProfile, MaterializationCatalog};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -77,9 +77,6 @@ pub struct SessionConfig {
     pub cache_policy: CachePolicy,
     /// Compute-time estimate for operators never measured before.
     pub default_compute_nanos: Nanos,
-    /// Hysteresis dead band for Algorithm 2's elective decisions
-    /// (fraction of the `2·l(n)` threshold; 0 = the paper's strict rule).
-    pub mat_hysteresis: f64,
     /// Pipelined iteration runtime (on by default): prefetched loads,
     /// background materialization writes, and — through
     /// [`Session::run_pipelined`] or `helix-serve` — speculative
@@ -87,12 +84,6 @@ pub struct SessionConfig {
     /// Off = the strictly serial reference the determinism suites
     /// compare against. Results are byte-identical either way.
     pub pipeline: bool,
-    /// Micro-batch co-execution: partitionable operators execute as a
-    /// stream of fixed `microbatch_rows`-row partitions with overlapped
-    /// load/compute/commit lanes (see `helix_core::microbatch`). 0 (the
-    /// default) = whole-frame execution. Byte-identical either way —
-    /// an execution detail like `workers`.
-    pub microbatch_rows: usize,
 }
 
 /// The seed a session runs under when neither the caller nor a service
@@ -112,9 +103,7 @@ impl SessionConfig {
             seed: None,
             cache_policy: CachePolicy::Eager,
             default_compute_nanos: 1_000_000,
-            mat_hysteresis: 0.0,
             pipeline: true,
-            microbatch_rows: 0,
         }
     }
 
@@ -177,24 +166,10 @@ impl SessionConfig {
         self
     }
 
-    /// Builder: set the elective-materialization hysteresis dead band.
-    #[must_use]
-    pub fn with_hysteresis(mut self, band: f64) -> SessionConfig {
-        self.mat_hysteresis = band;
-        self
-    }
-
     /// Builder: toggle the pipelined iteration runtime.
     #[must_use]
     pub fn with_pipeline(mut self, pipeline: bool) -> SessionConfig {
         self.pipeline = pipeline;
-        self
-    }
-
-    /// Builder: set the micro-batch partition size (0 = whole-frame).
-    #[must_use]
-    pub fn with_microbatch(mut self, rows: usize) -> SessionConfig {
-        self.microbatch_rows = rows;
         self
     }
 }
@@ -260,7 +235,7 @@ pub struct Session {
     volatile_nonces: HashMap<String, u64>,
     compute_stats: HashMap<Signature, Nanos>,
     prev_sigs: HashMap<String, HashMap<String, Signature>>,
-    elective_memory: HashMap<Signature, bool>,
+    elective_sigs: HashSet<Signature>,
     history: Vec<IterationMetrics>,
     /// The background materialization write lane (created lazily on the
     /// first pipelined iteration that can store; drains on drop).
@@ -333,7 +308,7 @@ impl Session {
             volatile_nonces: HashMap::new(),
             compute_stats: HashMap::new(),
             prev_sigs: HashMap::new(),
-            elective_memory: HashMap::new(),
+            elective_sigs: HashSet::new(),
             history: Vec::new(),
             writer: None,
             spec_hits: 0,
@@ -446,7 +421,7 @@ impl Session {
                 if let Some(old_sig) = previous.get(&spec.name) {
                     if *old_sig != planning_sigs[id.ix()] {
                         self.catalog.release(*old_sig, &self.tenant)?;
-                        self.elective_memory.remove(old_sig);
+                        self.elective_sigs.remove(old_sig);
                     }
                 }
             }
@@ -618,11 +593,8 @@ impl Session {
             seed: self.env.seed,
             tenant: &self.tenant,
             core_budget: self.core_budget.as_ref(),
-            prev_elective: &self.elective_memory,
-            hysteresis: self.config.mat_hysteresis,
             pipeline: self.config.pipeline,
             writer: self.writer.as_ref(),
-            microbatch_rows: self.config.microbatch_rows,
         })?;
         drop(iteration_span);
 
@@ -630,9 +602,7 @@ impl Session {
         for (sig, nanos) in &outcome.compute_times {
             self.compute_stats.insert(*sig, *nanos);
         }
-        for (sig, decision) in &outcome.elective_decisions {
-            self.elective_memory.insert(*sig, *decision);
-        }
+        self.elective_sigs.extend(&outcome.elective_decisions);
         self.prev_sigs.insert(wf.name().to_string(), signature_snapshot(wf, &storage_sigs));
         let states: Vec<(String, State)> = wf
             .dag()
@@ -696,12 +666,12 @@ impl Session {
     }
 
     /// Signatures whose materialization Algorithm 2 decided *electively*
-    /// (latest decision per signature). Elective choices compare measured
-    /// node times against the disk model, so they are wall-timing-coupled
-    /// and legitimately differ between otherwise identical sessions —
+    /// (either way). Elective choices compare measured node times
+    /// against the disk model, so they are wall-timing-coupled and
+    /// legitimately differ between otherwise identical sessions —
     /// cross-session catalog comparisons must exclude them.
     pub fn elective_signatures(&self) -> Vec<Signature> {
-        self.elective_memory.keys().copied().collect()
+        self.elective_sigs.iter().copied().collect()
     }
 }
 

@@ -57,8 +57,7 @@ const NONCE_TAG: &str = "helix/env/nonce";
 /// Today that is the master seed; data versions already live in source
 /// declaration signatures, and everything else a
 /// [`SessionConfig`](crate::session::SessionConfig) carries — worker
-/// counts, core/storage budgets, cache policy, materialization
-/// hysteresis, pipelining — is
+/// counts, core/storage budgets, cache policy, pipelining — is
 /// *deliberately excluded* because the engine's determinism contract
 /// proves it cannot change bytes. Folding a byte-neutral knob in would
 /// only shatter sharing; leaving a byte-affecting knob out would corrupt

@@ -122,8 +122,6 @@ pub struct ServiceConfig {
     /// sound: a session keeps the seed its `SessionConfig` sets, and
     /// only an *unset* seed falls back to this value.
     pub seed: u64,
-    /// Hysteresis dead band for Algorithm 2 (applied to all sessions).
-    pub mat_hysteresis: f64,
     /// How eligible work is ordered across tenants: strict
     /// FIFO-with-priority (the default), or weighted dominant-resource
     /// fairness over cores + catalog storage
@@ -147,7 +145,6 @@ impl ServiceConfig {
             // Shared with solo sessions so an unset-seed workflow run
             // in-service and solo stays byte- and signature-identical.
             seed: helix_core::DEFAULT_SEED,
-            mat_hysteresis: 0.0,
             scheduling: SchedulingPolicy::Priority,
         }
     }
@@ -191,13 +188,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_max_concurrent_iterations(mut self, cap: usize) -> ServiceConfig {
         self.max_concurrent_iterations = cap.max(1);
-        self
-    }
-
-    /// Builder: set the elective-materialization hysteresis band.
-    #[must_use]
-    pub fn with_hysteresis(mut self, band: f64) -> ServiceConfig {
-        self.mat_hysteresis = band;
         self
     }
 
@@ -397,7 +387,7 @@ impl HelixService {
     /// genuinely match. A config that leaves the seed unset inherits the
     /// service default ([`ServiceConfig::seed`]). The service still
     /// overrides what sharing requires: catalog and disk (the shared
-    /// store), storage budget (the tenant's quota), and hysteresis.
+    /// store) and storage budget (the tenant's quota).
     pub fn open_session(&self, tenant: &str, config: SessionConfig) -> Result<ServiceSession> {
         let seed = config.seed.unwrap_or(self.inner.config.seed);
         let (quota, session_id) = {
@@ -417,7 +407,6 @@ impl HelixService {
             disk: self.inner.config.disk,
             catalog_dir: None,
             seed: Some(seed),
-            mat_hysteresis: self.inner.config.mat_hysteresis,
             ..config
         };
         let handles = SessionHandles {

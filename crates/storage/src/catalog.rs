@@ -13,7 +13,7 @@
 //!   load times are remembered — these are the `l_i` statistics OEP uses
 //!   ("if a node has an equivalent materialization … we would have run the
 //!   exact same operator before and recorded accurate cᵢ and lᵢ", §5.2);
-//! * `purge`/`release` remove deprecated artifacts (HELIX "purges any
+//! * `release` removes deprecated artifacts (HELIX "purges any
 //!   previous materialization of original operators prior to execution",
 //!   §6.6).
 //!
@@ -38,7 +38,7 @@
 //! * **safe deprecation** — [`release`](MaterializationCatalog::release)
 //!   removes one tenant's claim and deletes the file only when no owner
 //!   remains. Consumers pin planned loads up front via
-//!   [`claim_if_present`](MaterializationCatalog::claim_if_present)
+//!   [`claim_and_pin_if_present`](MaterializationCatalog::claim_and_pin_if_present)
 //!   (atomic; failure = replan), so one tenant's iteration can never
 //!   delete an artifact another tenant's in-flight plan depends on;
 //! * **quota eviction** — [`evict_owned`](MaterializationCatalog::evict_owned)
@@ -1197,7 +1197,7 @@ impl MaterializationCatalog {
     /// producer's later deprecation (`release`) must not delete it, and
     /// its bytes count against the loader's quota. Planned loads are
     /// normally claimed earlier, at plan time
-    /// ([`claim_if_present`](Self::claim_if_present)); this is the
+    /// ([`claim_and_pin_if_present`](Self::claim_and_pin_if_present)); this is the
     /// belt-and-braces path for direct `load_for` callers. The claim is
     /// applied in memory immediately and persisted at the next journal
     /// commit (loads stay write-free on the hot path).
@@ -1260,46 +1260,21 @@ impl MaterializationCatalog {
         Ok((value, load_nanos, cross))
     }
 
-    /// Atomically pin `sig` into `owner`'s working set if it still
-    /// exists: adds a lifecycle claim (and the quota charge) under the
-    /// catalog lock and returns `true`; returns `false` when the
-    /// artifact is gone.
+    /// Atomically claim `sig` into `owner`'s working set if it still
+    /// exists: adds a lifecycle claim (and the quota charge) plus one
+    /// transient pin under a *single* catalog lock hold and returns
+    /// `true`; returns `false` when the artifact is gone.
     ///
     /// Sessions call this for every `Load` in a freshly computed plan,
     /// which closes the plan-to-execution race: once claimed, another
     /// tenant's `release` only drops *its* claim and quota eviction
     /// skips co-owned artifacts, so the bytes survive until this owner
     /// releases them. A `false` means the plan raced a deletion — the
-    /// caller replans (the node falls back to `Compute`).
-    pub fn claim_if_present(&self, sig: Signature, owner: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let mut claim: Option<u64> = None;
-        let present = match inner.entries.get_mut(&sig) {
-            None => false,
-            Some(entry) => {
-                if !entry.is_owned_by(owner) {
-                    entry.add_owner(owner);
-                    claim = Some(entry.bytes);
-                }
-                true
-            }
-        };
-        if present {
-            inner.dirty.insert(sig);
-        }
-        if let Some(bytes) = claim {
-            inner.credit(&[owner.to_string()], bytes);
-        }
-        present
-    }
-
-    /// [`claim_if_present`](Self::claim_if_present) that also takes one
-    /// transient pin on the artifact — claim and pin land under a
-    /// *single* lock hold, so there is no window in which a concurrent
+    /// caller replans (the node falls back to `Compute`). Claim and pin
+    /// land together so there is no window in which a concurrent
     /// [`evict_global`](Self::evict_global) can observe the artifact as
-    /// claimed-but-unpinned and delete it out from under the plan.
-    /// Sessions use this for every planned `Load`; the matching unpins
-    /// are released when the prepared iteration retires.
+    /// claimed-but-unpinned and delete it out from under the plan; the
+    /// matching unpins are released when the prepared iteration retires.
     pub fn claim_and_pin_if_present(&self, sig: Signature, owner: &str) -> bool {
         let mut inner = self.inner.lock();
         let mut claim: Option<u64> = None;
@@ -1321,20 +1296,6 @@ impl MaterializationCatalog {
             inner.credit(&[owner.to_string()], bytes);
         }
         present
-    }
-
-    /// Remove a deprecated artifact unconditionally (single-tenant
-    /// semantics). Returns whether anything was removed.
-    pub fn purge(&self, sig: Signature) -> Result<bool> {
-        let removed = self.inner.lock().remove_entry(sig);
-        match removed {
-            Some(file) => {
-                self.remove_file(&file)?;
-                self.journal_commit(&[JournalOp::Remove(sig)])?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Drop `owner`'s claim on `sig`; the artifact (and file) goes away
@@ -1424,7 +1385,7 @@ impl MaterializationCatalog {
         protected: &HashSet<Signature>,
     ) -> Result<u64> {
         // Selection and index removal happen under ONE lock hold: a
-        // concurrent `claim_if_present`/`load_for` that co-owns an
+        // concurrent `claim_and_pin_if_present`/`load_for` that co-owns an
         // artifact either lands before (the entry is no longer
         // sole-owned and is skipped) or after (the entry is already
         // gone and the claim fails, so the claimant replans) — never in
@@ -1786,7 +1747,8 @@ mod tests {
         assert!(e1 > e0, "a store changes byte accounting");
         let _ = cat.used_bytes_for_many(&["alice".to_string()]);
         assert_eq!(cat.dirty_epoch(), e1, "byte reads leave it unchanged");
-        assert!(cat.claim_if_present(sig, "bob"));
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         let e2 = cat.dirty_epoch();
         assert!(e2 > e1, "a claim credits the co-owner");
         assert!(!cat.release(sig, "bob").unwrap(), "alice still owns the entry");
@@ -1802,7 +1764,6 @@ mod tests {
         let sig = Signature::of_str("never-stored");
         assert!(cat.load(sig).is_err());
         assert_eq!(cat.estimated_load_nanos(sig), None);
-        assert!(!cat.purge(sig).unwrap());
         assert!(!cat.release(sig, "anyone").unwrap());
     }
 
@@ -1820,16 +1781,19 @@ mod tests {
     }
 
     #[test]
-    fn purge_frees_space_and_files() {
+    fn release_frees_space_and_files() {
         let cat = temp_catalog();
         let a = Signature::of_str("a");
         let b = Signature::of_str("b");
         cat.store(a, "a", 0, &scalar(1.0)).unwrap();
         cat.store(b, "b", 0, &scalar(2.0)).unwrap();
         assert_eq!(cat.len(), 2);
-        assert!(cat.purge(a).unwrap());
+        let a_file = cat.root().join(&cat.entry(a).unwrap().file);
+        assert!(a_file.exists());
+        assert!(cat.release(a, SOLO_OWNER).unwrap());
         assert_eq!(cat.len(), 1);
         assert!(!cat.contains(a));
+        assert!(!a_file.exists(), "a's file is unlinked");
         assert!(cat.contains(b));
         let bytes_after = cat.total_bytes();
         assert_eq!(bytes_after, cat.entry(b).unwrap().bytes, "only b's bytes remain accounted");
@@ -1984,7 +1948,8 @@ mod tests {
         cat.store_owned(old_solo, "alice", "old", 0, &scalar(1.0)).unwrap();
         cat.store_owned(new_solo, "alice", "new", 7, &scalar(2.0)).unwrap();
         cat.store_owned(popular, "alice", "pop", 0, &scalar(3.0)).unwrap();
-        assert!(cat.claim_if_present(popular, "bob"), "reader claim raises the refcount");
+        assert!(cat.claim_and_pin_if_present(popular, "bob"), "reader claim raises the refcount");
+        cat.unpin_many(&[popular]);
 
         let freed = cat.evict_global("trigger", 1, &HashSet::new()).unwrap();
         assert!(freed > 0);
@@ -2138,13 +2103,15 @@ mod tests {
     }
 
     #[test]
-    fn claim_pins_artifacts_against_release_and_eviction() {
+    fn claim_shields_artifacts_from_release_and_eviction() {
         let cat = temp_catalog();
         let sig = Signature::of_str("claimed");
         cat.store_owned(sig, "alice", "n", 0, &scalar(5.0)).unwrap();
 
-        // Bob's planner claims the artifact before executing.
-        assert!(cat.claim_if_present(sig, "bob"));
+        // Bob's planner claims the artifact before executing; with the
+        // pin dropped, the claim alone must keep it alive.
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         assert!(cat.used_bytes_for("bob") > 0, "claims charge the claimant's quota");
 
         // Alice deprecates and quota-evicts: the artifact must survive.
@@ -2159,10 +2126,11 @@ mod tests {
         assert!(cross);
 
         // A claim on a vanished signature reports failure (replan cue).
-        assert!(!cat.claim_if_present(Signature::of_str("never-there"), "bob"));
+        assert!(!cat.claim_and_pin_if_present(Signature::of_str("never-there"), "bob"));
         // Idempotent re-claim does not double-charge.
         let charged = cat.used_bytes_for("bob");
-        assert!(cat.claim_if_present(sig, "bob"));
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         assert_eq!(cat.used_bytes_for("bob"), charged);
     }
 

@@ -1,8 +1,7 @@
 //! Deterministic synthetic data generators.
 //!
 //! Each generator stands in for a dataset the paper used but we cannot
-//! ship (see DESIGN.md §4 for the substitution argument). All are pure
-//! functions of their parameters and seed.
+//! ship. All are pure functions of their parameters and seed.
 
 use helix_common::SplitMix64;
 

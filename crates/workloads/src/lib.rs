@@ -19,8 +19,8 @@
 //! distributions of citation 78 and frozen for reproducibility — the bands shown
 //! under Figure 5's curves).
 //!
-//! Substitutions for the paper's proprietary datasets are documented in
-//! DESIGN.md §4; every generator is deterministic given its seed.
+//! The paper's proprietary datasets are replaced by the synthetic
+//! generators in [`gen`]; every generator is deterministic given its seed.
 
 pub mod census;
 pub mod gen;

@@ -116,45 +116,6 @@ fn pipelined_fingerprint(workers: usize) -> Vec<Outputs> {
         .collect()
 }
 
-/// A solo fingerprint with micro-batch streaming on (PR 9): the
-/// partition dispatcher emits `batch.*` spans from its load/compute/
-/// commit lanes, and none of them may touch an output byte.
-fn streamed_fingerprint(workers: usize) -> Vec<Outputs> {
-    let mut session = Session::new(
-        SessionConfig::in_memory().with_workers(workers).with_seed(SEED).with_microbatch(16),
-    )
-    .expect("session opens");
-    iteration_workflows(workload_for(0))
-        .iter()
-        .map(|wf| outputs_of(&session.run(wf).expect("iteration runs")))
-        .collect()
-}
-
-#[test]
-fn tracing_is_inert_for_streamed_runs() {
-    let _gate = TRACE_GATE.lock().unwrap();
-    for workers in [1usize, 4] {
-        set_enabled(false);
-        let baseline = streamed_fingerprint(workers);
-
-        set_enabled(true);
-        drain_spans();
-        let traced = streamed_fingerprint(workers);
-        let (events, _) = drain_spans();
-        set_enabled(false);
-
-        assert_eq!(baseline, traced, "streamed outputs changed under tracing at {workers} workers");
-        // Guard against vacuity: the batch lanes must actually have
-        // traced their work.
-        for name in ["batch.load", "batch.compute", "batch.commit"] {
-            assert!(
-                events.iter().any(|e| e.name == name),
-                "no {name} spans in the streamed traced run"
-            );
-        }
-    }
-}
-
 #[test]
 fn tracing_is_inert_across_workers_and_policies() {
     let _gate = TRACE_GATE.lock().unwrap();
