@@ -8,8 +8,8 @@
 //! Scenarios: a clean reopen, a torn journal tail (crash mid-append), a
 //! mid-journal bit flip (rot inside the chain), a lost journal with the
 //! format marker intact (salvage-by-scan), and stranded temp files. Each
-//! scenario records the full [`RecoveryStats`] plus open latency to
-//! `BENCH_recovery_stats.json` (or `--json PATH`) for CI artifact upload.
+//! scenario records the full [`RecoveryStats`] plus open latency;
+//! `--json PATH` also writes them as JSON (CI uploads that as an artifact).
 //! `--check` exits non-zero unless every scenario recovers to a clean,
 //! consistent catalog on the second open.
 
@@ -162,12 +162,7 @@ fn parse_flag(args: &[String], name: &str) -> Option<u64> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let entries = parse_flag(&args, "--entries").unwrap_or(64);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|ix| args.get(ix + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_recovery_stats.json".to_string());
+    let json_path = args.iter().position(|a| a == "--json").and_then(|ix| args.get(ix + 1));
 
     let scenarios = ["clean", "torn-tail", "mid-journal-flip", "lost-journal", "stranded-temps"];
     let report = RecoveryBenchReport {
@@ -176,15 +171,17 @@ fn main() {
     };
     print!("{}", report.render());
 
-    match serde_json::to_string_pretty(&report) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write(&json_path, text) {
-                eprintln!("warning: cannot write {json_path}: {e}");
-            } else {
-                println!("wrote {json_path}");
+    if let Some(json_path) = json_path {
+        match serde_json::to_string_pretty(&report) {
+            Ok(text) => {
+                if let Err(e) = std::fs::write(json_path, text) {
+                    eprintln!("warning: cannot write {json_path}: {e}");
+                } else {
+                    println!("wrote {json_path}");
+                }
             }
+            Err(e) => eprintln!("warning: cannot serialize report: {e}"),
         }
-        Err(e) => eprintln!("warning: cannot serialize report: {e}"),
     }
 
     if args.iter().any(|a| a == "--check") {

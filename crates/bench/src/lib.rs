@@ -2,9 +2,9 @@
 //!
 //! The experiment harness: every table and figure of the paper's
 //! evaluation (§6) has a function here that regenerates it, plus the
-//! `paper-figures` binary that prints them in the paper's layout. Criterion
-//! micro-benchmarks for the optimizer, codec, engine and ML kernels live
-//! under `benches/`.
+//! `paper-figures` binary that prints them in the paper's layout.
+//! Performance numbers come from the `ledger` bin (`src/bin/ledger`, the
+//! benchmark `BENCHMARK.json` declares), not from this library.
 //!
 //! Experiment-to-paper mapping:
 //!
@@ -20,24 +20,7 @@
 //! * [`experiments::table1`] / [`experiments::table2`] — the static
 //!   coverage/characteristics tables.
 
-//! * [`multi_tenant`] — the `helix-serve` driver: N simultaneous clients
-//!   on one service vs the serial back-to-back baseline (throughput,
-//!   per-tenant latency, cross-tenant cache-hit rate).
-//! * [`pipeline`] — the pipelined iteration runtime vs the serial
-//!   engine (speedup, overlap ratio, speculation hit rate); emits
-//!   `BENCH_pipeline.json`.
-//! * [`serve_async`] — open-loop stress of the pooled session runner:
-//!   deterministic Poisson-like arrivals, non-blocking ticket
-//!   collection, latency p50/p99 + SLO burn, and the OS-thread ceiling;
-//!   emits `BENCH_serve_async.json`.
-
 pub mod experiments;
-pub mod multi_tenant;
-pub mod pipeline;
 pub mod report;
-pub mod serve_async;
 
 pub use experiments::{ExperimentConfig, SystemKind};
-pub use multi_tenant::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
-pub use pipeline::{run_pipeline_bench, PipelineBenchConfig, PipelineBenchReport};
-pub use serve_async::{run_serve_async, ServeAsyncConfig, ServeAsyncReport};

@@ -32,11 +32,6 @@
 //!   serial run would, and the error reported is the earliest one in
 //!   topological order — at any worker count.
 //!
-//! The one carve-out is the Spark-style LRU ablation baseline
-//! (`CachePolicy::Lru`): budget-driven eviction depends on access
-//! recency, which is inherently timing-dependent under concurrency, so
-//! LRU iterations always run on the inline serial driver.
-//!
 //! Every node's wall time is still measured — the `c_i`/`l_i` statistics
 //! the next iteration's optimizer consumes.
 
@@ -48,8 +43,8 @@ use helix_common::timing::{duration_to_nanos, timed, Nanos};
 use helix_common::{HelixError, Result};
 use helix_data::{ByteSized, Value};
 use helix_exec::{
-    interval_union_nanos, CachePolicy, CoreBudget, IterationMetrics, NodeRun, RunState,
-    SharedMemoryTracker, SharedValueCache, WorkerPool,
+    interval_union_nanos, CoreBudget, IterationMetrics, NodeRun, RunState, SharedMemoryTracker,
+    SharedValueCache, WorkerPool,
 };
 use helix_flow::oep::State;
 use helix_flow::{Dag, NodeId};
@@ -78,8 +73,6 @@ pub struct EngineParams<'a> {
     /// operators (the paper's "cluster size", Figure 7b). Under a core
     /// budget this is a ceiling, not an entitlement.
     pub workers: usize,
-    /// Cache eviction policy.
-    pub cache_policy: CachePolicy,
     /// Iteration number (for catalog bookkeeping).
     pub iteration: u64,
     /// Session seed (mixed with node signatures for per-node RNG streams).
@@ -90,11 +83,9 @@ pub struct EngineParams<'a> {
     /// Shared core-token budget; `None` = unconstrained (solo semantics).
     pub core_budget: Option<&'a Arc<CoreBudget>>,
     /// Enable the pipelined lanes (prefetched loads; staged background
-    /// writes when `writer` is present). Forced off for the LRU ablation
-    /// baseline, whose eviction is timing-coupled. Outputs, catalog
-    /// contents, and plan-relevant metrics stay byte-identical either
-    /// way — pipelining moves I/O off the critical path, never changes
-    /// decisions.
+    /// writes when `writer` is present). Outputs, catalog contents, and
+    /// plan-relevant metrics stay byte-identical either way — pipelining
+    /// moves I/O off the critical path, never changes decisions.
     pub pipeline: bool,
     /// The session's background materialization writer (the write lane).
     /// `None` or `pipeline == false` keeps the serial inline writes.
@@ -110,9 +101,6 @@ pub struct ExecOutcome {
     /// Measured compute times by signature (feeds the next OEP),
     /// in node-id order regardless of completion order.
     pub compute_times: Vec<(Signature, Nanos)>,
-    /// Signatures Algorithm 2 decided electively this iteration, either
-    /// way (empty under AM/NM).
-    pub elective_decisions: Vec<Signature>,
 }
 
 /// What one worker reports back for one executed node.
@@ -143,7 +131,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         strategy,
         budget_bytes,
         workers,
-        cache_policy,
         iteration,
         seed,
         tenant,
@@ -157,9 +144,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     assert_eq!(sigs.len(), n);
 
     let order = dag.topo_order()?;
-    // The pipelined lanes are off for the LRU ablation (its eviction is
-    // timing-coupled; see `dispatch_width` below for the same reason).
-    let pipelined = pipeline && !matches!(cache_policy, CachePolicy::Lru { .. });
     let epoch = Instant::now();
     // Load lane: fetch every plan-time-claimed Load concurrently from
     // iteration start, instead of lazily when the frontier reaches it —
@@ -169,7 +153,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         .filter(|id| states[id.ix()] == State::Load)
         .map(|id| (*id, sigs[id.ix()]))
         .collect();
-    let prefetcher = (pipelined && !load_jobs.is_empty())
+    let prefetcher = (pipeline && !load_jobs.is_empty())
         .then(|| Prefetcher::new(catalog, tenant, epoch, load_jobs));
     // Data-parallel operators get the full nominal width, but under a
     // core budget their extra threads must be leased from the same tokens
@@ -179,7 +163,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         Some(budget) => WorkerPool::budgeted(workers, Arc::clone(budget)),
         None => WorkerPool::new(workers),
     };
-    let cache = SharedValueCache::new(cache_policy);
+    let cache = SharedValueCache::new();
     let memory = SharedMemoryTracker::new();
 
     // Any set of simultaneously runnable nodes is an antichain, so the
@@ -189,17 +173,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     // exact on layered workflow DAGs, at worst slightly under-provisioned
     // (jobs then queue; never a deadlock). Data-parallel operators still
     // see the full `workers` through `ExecContext::pool`.
-    //
-    // The LRU ablation baseline always runs inline: budget-driven LRU
-    // eviction depends on access recency, which concurrent workers would
-    // make timing-dependent — it could even evict a parent value an
-    // unscheduled child still needs. Eager (HELIX) scope-driven eviction
-    // has no such coupling and parallelizes freely.
-    let dispatch_width = if matches!(cache_policy, CachePolicy::Lru { .. }) {
-        1
-    } else {
-        workers.min(level_width(dag)?)
-    };
+    let dispatch_width = workers.min(level_width(dag)?);
 
     let runner = NodeRunner {
         wf,
@@ -224,11 +198,10 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         budget_bytes,
         iteration,
         tenant,
-        writer: if pipelined { writer } else { None },
+        writer: if pipeline { writer } else { None },
         prefetch: prefetcher.as_ref(),
         load_spans: Vec::new(),
         protected: sigs.iter().copied().collect(),
-        elective_decisions: Vec::new(),
         cross_loads: 0,
         cache: &cache,
         memory: &memory,
@@ -314,12 +287,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     metrics.storage_bytes = catalog.total_bytes();
     let compute_times =
         (0..n).filter_map(|i| coord.compute_nanos[i].map(|nanos| (sigs[i], nanos))).collect();
-    Ok(ExecOutcome {
-        metrics,
-        outputs: coord.outputs,
-        compute_times,
-        elective_decisions: coord.elective_decisions,
-    })
+    Ok(ExecOutcome { metrics, outputs: coord.outputs, compute_times })
 }
 
 /// Serial driver: pop the minimum-id ready node and run it inline — the
@@ -631,7 +599,6 @@ struct Coordinator<'a> {
     /// The current plan's signatures: quota eviction must never remove an
     /// artifact this very iteration still intends to load.
     protected: HashSet<Signature>,
-    elective_decisions: Vec<Signature>,
     cross_loads: usize,
     cache: &'a SharedValueCache,
     memory: &'a SharedMemoryTracker,
@@ -786,9 +753,6 @@ impl Coordinator<'_> {
                 size,
                 budget_remaining,
             );
-            if self.strategy == MatStrategy::Opt {
-                self.elective_decisions.push(self.sigs[i]);
-            }
             if mandatory || elective {
                 let _span = helix_obs::span(helix_obs::layer::ENGINE, "materialize")
                     .node(spec.name.as_str())
@@ -929,7 +893,6 @@ mod tests {
             strategy,
             budget_bytes: u64::MAX,
             workers,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -990,7 +953,6 @@ mod tests {
             strategy: MatStrategy::Opt,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 1,
             seed: 7,
             tenant: "",
@@ -1022,7 +984,6 @@ mod tests {
             strategy: MatStrategy::Opt,
             budget_bytes: 0, // nothing elective fits
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -1053,7 +1014,6 @@ mod tests {
                 strategy: MatStrategy::Opt,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",
@@ -1088,7 +1048,6 @@ mod tests {
             strategy: MatStrategy::Never,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -1128,7 +1087,6 @@ mod tests {
             strategy: MatStrategy::Never,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 1,
             tenant: "",
@@ -1243,7 +1201,6 @@ mod tests {
                 strategy: MatStrategy::Never,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",
@@ -1298,7 +1255,6 @@ mod tests {
                 strategy: MatStrategy::Always,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",

@@ -18,8 +18,8 @@
 //!   OPT-EXEC-PLAN state assignment via max-flow (§5.2).
 //! * [`materialize`] — OPT-MAT-PLAN policies (§5.3): the streaming
 //!   Algorithm 2 heuristic, always-materialize (HELIX AM), and
-//!   never-materialize (HELIX NM), plus an exact small-DAG solver used by
-//!   ablation benches.
+//!   never-materialize (HELIX NM), plus an exact small-DAG solver the
+//!   tests use as the optimality reference.
 //! * [`engine`] — the execution engine: runs the plan, manages the cache
 //!   with eager out-of-scope eviction, times every node, and applies the
 //!   materialization policy under the storage budget.

@@ -20,12 +20,12 @@
 //! `Always` (HELIX AM) and `Never` (HELIX NM).
 //!
 //! [`exact_omp`] implements the exact solver (exponential; tiny DAGs only)
-//! used by ablation benches to measure the heuristic's optimality gap, and
+//! the tests use as the reference for the heuristic's optimality gap, and
 //! a test reproduces the §5.3 pathological chain where Algorithm 2
 //! over-materializes.
 
 use helix_common::timing::Nanos;
-use helix_flow::oep::{NodeCosts, OepProblem, State};
+use helix_flow::oep::{NodeCosts, OepProblem};
 use helix_flow::Dag;
 
 /// Materialization policy (paper §6.1: HELIX OPT / AM / NM).
@@ -134,7 +134,7 @@ pub fn exact_omp<T>(
 }
 
 /// Simulate Algorithm 2's choices for a whole iteration offline (used by
-/// tests and ablations; the engine makes the same decisions online).
+/// tests; the engine makes the same decisions online).
 /// `incurred` is each node's run time this iteration.
 pub fn streaming_omp_choices<T>(
     dag: &Dag<T>,
@@ -181,82 +181,6 @@ pub fn materialization_run_time<T>(
         })
         .collect();
     write_total.saturating_add(OepProblem::new(dag, &costs).solve().total_cost)
-}
-
-/// Mini-batch adaptation of Algorithm 2 (paper §5.3, "Mini-Batches"):
-/// in stream processing, "1) make materialization decisions using the load
-/// and compute time for the first mini batch processed end-to-end; 2)
-/// reuse the same decisions for all subsequent mini batches for each
-/// operator. This approach avoids dataset fragmentation."
-///
-/// The planner observes the first batch's per-node metrics, freezes the
-/// per-operator choices, and answers O(1) for every later batch.
-#[derive(Clone, Debug, Default)]
-pub struct MiniBatchPlanner {
-    decisions: Option<Vec<bool>>,
-}
-
-impl MiniBatchPlanner {
-    /// Fresh planner (no batch observed yet).
-    pub fn new() -> MiniBatchPlanner {
-        MiniBatchPlanner::default()
-    }
-
-    /// Whether the first batch has been observed.
-    pub fn is_frozen(&self) -> bool {
-        self.decisions.is_some()
-    }
-
-    /// Observe the first mini batch's measurements and freeze decisions.
-    /// Subsequent calls are ignored (the first batch wins, per the paper).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_first_batch<T>(
-        &mut self,
-        dag: &Dag<T>,
-        strategy: MatStrategy,
-        incurred: &[Nanos],
-        load_nanos: &[Nanos],
-        sizes: &[u64],
-        executed: &[bool],
-        budget_bytes: u64,
-    ) {
-        if self.decisions.is_none() {
-            self.decisions = Some(streaming_omp_choices(
-                dag,
-                strategy,
-                incurred,
-                load_nanos,
-                sizes,
-                executed,
-                budget_bytes,
-            ));
-        }
-    }
-
-    /// The frozen decision for a node; `None` until the first batch has
-    /// been observed (callers fall back to the online Algorithm 2).
-    pub fn decision(&self, node: helix_flow::NodeId) -> Option<bool> {
-        self.decisions.as_ref().and_then(|d| d.get(node.ix()).copied())
-    }
-
-    /// All frozen decisions (empty before the first batch).
-    pub fn decisions(&self) -> &[bool] {
-        self.decisions.as_deref().unwrap_or(&[])
-    }
-}
-
-/// Post-plan helper: which nodes ended the iteration in each state (for
-/// Figure 8's S_p/S_l/S_c fractions).
-pub fn state_counts(states: &[State]) -> (usize, usize, usize) {
-    let mut c = (0, 0, 0);
-    for s in states {
-        match s {
-            State::Compute => c.0 += 1,
-            State::Load => c.1 += 1,
-            State::Prune => c.2 += 1,
-        }
-    }
-    c
 }
 
 #[cfg(test)]
@@ -414,63 +338,5 @@ mod tests {
         let chosen = exact_omp(&g, &compute, &loads, &sizes, &outputs, u64::MAX);
         assert!(chosen[0], "expensive node worth storing");
         assert!(!chosen[1], "huge cheap node not worth storing");
-    }
-
-    #[test]
-    fn state_count_tallies() {
-        let states = [State::Compute, State::Load, State::Prune, State::Compute];
-        assert_eq!(state_counts(&states), (2, 1, 1));
-    }
-
-    #[test]
-    fn mini_batch_planner_freezes_first_batch_decisions() {
-        let (g, _) = chain(3);
-        let mut planner = MiniBatchPlanner::new();
-        assert!(!planner.is_frozen());
-        assert_eq!(planner.decision(NodeId(0)), None, "no decision before first batch");
-
-        // First batch: expensive chain, cheap loads → materialize all.
-        planner.observe_first_batch(
-            &g,
-            MatStrategy::Opt,
-            &[100, 100, 100],
-            &[10, 10, 10],
-            &[50, 50, 50],
-            &[true, true, true],
-            u64::MAX,
-        );
-        assert!(planner.is_frozen());
-        assert_eq!(planner.decisions(), &[true, true, true]);
-
-        // Second batch with opposite economics must NOT change decisions
-        // (avoiding the paper's "dataset fragmentation").
-        planner.observe_first_batch(
-            &g,
-            MatStrategy::Opt,
-            &[1, 1, 1],
-            &[1_000, 1_000, 1_000],
-            &[50, 50, 50],
-            &[true, true, true],
-            u64::MAX,
-        );
-        assert_eq!(planner.decisions(), &[true, true, true]);
-        assert_eq!(planner.decision(NodeId(2)), Some(true));
-        assert_eq!(planner.decision(NodeId(9)), None, "out-of-range node");
-    }
-
-    #[test]
-    fn mini_batch_planner_respects_strategy() {
-        let (g, _) = chain(2);
-        let mut planner = MiniBatchPlanner::new();
-        planner.observe_first_batch(
-            &g,
-            MatStrategy::Never,
-            &[100, 100],
-            &[1, 1],
-            &[1, 1],
-            &[true, true],
-            u64::MAX,
-        );
-        assert_eq!(planner.decisions(), &[false, false]);
     }
 }

@@ -31,11 +31,11 @@ use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
 use helix_common::Result;
 use helix_data::{Scalar, Value};
-use helix_exec::{CachePolicy, CoreBudget, IterationMetrics};
+use helix_exec::{CoreBudget, IterationMetrics};
 use helix_flow::oep::State;
 use helix_storage::catalog::SOLO_OWNER;
 use helix_storage::{DiskProfile, MaterializationCatalog};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -73,8 +73,6 @@ pub struct SessionConfig {
     /// seeds can safely share one catalog — seed-dependent artifacts are
     /// keyed apart, seed-independent ones still collide and are reused.
     pub seed: Option<u64>,
-    /// In-memory cache policy (HELIX's eager eviction by default).
-    pub cache_policy: CachePolicy,
     /// Compute-time estimate for operators never measured before.
     pub default_compute_nanos: Nanos,
     /// Pipelined iteration runtime (on by default): prefetched loads,
@@ -101,7 +99,6 @@ impl SessionConfig {
             disk: DiskProfile::unthrottled(),
             catalog_dir: None,
             seed: None,
-            cache_policy: CachePolicy::Eager,
             default_compute_nanos: 1_000_000,
             pipeline: true,
         }
@@ -235,7 +232,6 @@ pub struct Session {
     volatile_nonces: HashMap<String, u64>,
     compute_stats: HashMap<Signature, Nanos>,
     prev_sigs: HashMap<String, HashMap<String, Signature>>,
-    elective_sigs: HashSet<Signature>,
     history: Vec<IterationMetrics>,
     /// The background materialization write lane (created lazily on the
     /// first pipelined iteration that can store; drains on drop).
@@ -308,7 +304,6 @@ impl Session {
             volatile_nonces: HashMap::new(),
             compute_stats: HashMap::new(),
             prev_sigs: HashMap::new(),
-            elective_sigs: HashSet::new(),
             history: Vec::new(),
             writer: None,
             spec_hits: 0,
@@ -421,7 +416,6 @@ impl Session {
                 if let Some(old_sig) = previous.get(&spec.name) {
                     if *old_sig != planning_sigs[id.ix()] {
                         self.catalog.release(*old_sig, &self.tenant)?;
-                        self.elective_sigs.remove(old_sig);
                     }
                 }
             }
@@ -565,11 +559,9 @@ impl Session {
 
         // The write lane exists once per session (its drain spans
         // iteration boundaries); created on the first iteration that can
-        // actually store. The gate mirrors the engine's: under the LRU
-        // ablation the lanes are off, so a writer would idle unused.
+        // actually store.
         if self.config.pipeline
             && self.config.strategy != MatStrategy::Never
-            && !matches!(self.config.cache_policy, CachePolicy::Lru { .. })
             && self.writer.is_none()
         {
             self.writer =
@@ -588,7 +580,6 @@ impl Session {
             strategy: self.config.strategy,
             budget_bytes: self.config.storage_budget_bytes,
             workers: self.config.workers,
-            cache_policy: self.config.cache_policy,
             iteration: self.iteration,
             seed: self.env.seed,
             tenant: &self.tenant,
@@ -602,7 +593,6 @@ impl Session {
         for (sig, nanos) in &outcome.compute_times {
             self.compute_stats.insert(*sig, *nanos);
         }
-        self.elective_sigs.extend(&outcome.elective_decisions);
         self.prev_sigs.insert(wf.name().to_string(), signature_snapshot(wf, &storage_sigs));
         let states: Vec<(String, State)> = wf
             .dag()
@@ -663,15 +653,6 @@ impl Session {
     /// plan lane's work survived validation.
     pub fn speculation_stats(&self) -> (u64, u64) {
         (self.spec_hits, self.spec_misses)
-    }
-
-    /// Signatures whose materialization Algorithm 2 decided *electively*
-    /// (either way). Elective choices compare measured node times
-    /// against the disk model, so they are wall-timing-coupled and
-    /// legitimately differ between otherwise identical sessions —
-    /// cross-session catalog comparisons must exclude them.
-    pub fn elective_signatures(&self) -> Vec<Signature> {
-        self.elective_sigs.iter().copied().collect()
     }
 }
 

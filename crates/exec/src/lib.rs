@@ -14,7 +14,7 @@
 //! * [`cache`] — the in-memory intermediate cache with HELIX's *eager*
 //!   eviction of out-of-scope nodes (paper §5.4 "Cache Pruning": "HELIX
 //!   improves upon [Spark's LRU] by actively managing the set of data to
-//!   evict"), plus an LRU policy used by ablation benches.
+//!   evict").
 //! * [`memory`] — resident-byte sampling behind the paper's Figure 10
 //!   (peak and average memory per iteration).
 //! * [`metrics`] — per-node and per-iteration run-time accounting broken
@@ -28,7 +28,7 @@ pub mod metrics;
 pub mod pool;
 
 pub use budget::{CoreBudget, CoreLease, OwnedCoreLease, ReleaseNotifier};
-pub use cache::{CachePolicy, SharedValueCache, ValueCache};
+pub use cache::SharedValueCache;
 pub use memory::{MemoryTracker, SharedMemoryTracker};
 pub use metrics::{interval_union_nanos, IterationMetrics, NodeRun, Phase, RunState};
 pub use pool::{Executor, TaskQueue, WorkerPool};

@@ -1,4 +1,4 @@
-//! Exporters: Chrome `trace_event` JSON and a compact text timeline.
+//! Exporter: Chrome `trace_event` JSON.
 //!
 //! The JSON exporter emits the subset of the Chrome trace-event format
 //! that Perfetto and `chrome://tracing` load directly: one `"X"`
@@ -108,8 +108,8 @@ pub fn write_trace(path: &Path, events: &[SpanEvent], dropped: u64) -> io::Resul
 }
 
 /// Drain the global span ring and, if `HELIX_TRACE=<path>` is set, write
-/// the Chrome trace there. Returns the path written, if any. Bench and
-/// service drivers call this once on exit.
+/// the Chrome trace there. Returns the path written, if any. Programs
+/// call this once on exit.
 pub fn write_env_trace() -> io::Result<Option<PathBuf>> {
     let Some(path) = trace_env_path() else {
         return Ok(None);
@@ -117,49 +117,6 @@ pub fn write_env_trace() -> io::Result<Option<PathBuf>> {
     let (events, dropped) = drain_spans();
     write_trace(&path, &events, dropped)?;
     Ok(Some(path))
-}
-
-fn fmt_ms(nanos: u64) -> String {
-    format!("{:.3}ms", nanos as f64 / 1_000_000.0)
-}
-
-/// Render a compact per-track timeline report: for each track, the total
-/// time and count per span name, busiest first. Suitable for appending
-/// to bench output.
-pub fn render_timeline(events: &[SpanEvent], dropped: u64) -> String {
-    use std::collections::BTreeMap;
-
-    if events.is_empty() {
-        return format!("trace: 0 spans, {dropped} dropped\n");
-    }
-    let window_begin = events.iter().map(|e| e.begin).min().unwrap_or(0);
-    let window_end = events.iter().map(|e| e.end).max().unwrap_or(0);
-
-    // track -> span name -> (count, total nanos)
-    let mut per_track: BTreeMap<String, BTreeMap<&'static str, (u64, u64)>> = BTreeMap::new();
-    for event in events {
-        let slot =
-            per_track.entry(event.track_key()).or_default().entry(event.name).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += event.duration();
-    }
-
-    let mut out = format!(
-        "trace: {} spans, {} dropped, window {}\n",
-        events.len(),
-        dropped,
-        fmt_ms(window_end.saturating_sub(window_begin)),
-    );
-    for (track, names) in &per_track {
-        let mut rows: Vec<_> = names.iter().collect();
-        rows.sort_by_key(|(_, (_, total))| std::cmp::Reverse(*total));
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|(name, (count, total))| format!("{name} ×{count} {}", fmt_ms(*total)))
-            .collect();
-        out.push_str(&format!("  {track}: {}\n", cells.join(", ")));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -211,19 +168,5 @@ mod tests {
             parsed.get("otherData").and_then(|o| o.get("dropped_spans")),
             Some(&Json::Int(7))
         );
-    }
-
-    #[test]
-    fn timeline_mentions_tracks_and_drops() {
-        let events = vec![
-            event("compute", 0, 2_000_000, None),
-            event("fetch", 0, 1_000_000, Some("lane-1")),
-        ];
-        let text = render_timeline(&events, 3);
-        assert!(text.contains("2 spans"));
-        assert!(text.contains("3 dropped"));
-        assert!(text.contains("worker-00"));
-        assert!(text.contains("lane-1"));
-        assert!(text.contains("compute ×1"));
     }
 }

@@ -12,9 +12,7 @@
 //!   histograms with p50/p95/p99 extraction that is exact within bucket
 //!   resolution (≤ 1/32 relative error above 32, exact below).
 //! * [`export`] — exporters: Chrome `trace_event` JSON (loadable in
-//!   Perfetto / `chrome://tracing`, one track per worker/lane/tenant),
-//!   a compact text timeline for bench output, and helpers for embedding
-//!   registry snapshots in `BENCH_*.json`.
+//!   Perfetto / `chrome://tracing`, one track per worker/lane/tenant).
 //!
 //! ## Inertness contract
 //!
@@ -27,15 +25,16 @@
 //! ## Enabling
 //!
 //! Tracing is off by default. Set `HELIX_TRACE=<path>` to enable span
-//! collection and have the bench drivers write a Chrome trace to `<path>`
-//! on exit, or call [`span::set_enabled`] / [`export::write_trace`]
-//! programmatically (used by tests).
+//! collection and have [`export::write_env_trace`] (the examples call it
+//! on exit) write a Chrome trace to `<path>`, or call
+//! [`span::set_enabled`] / [`export::write_trace`] programmatically (used
+//! by tests and the ledger).
 
 pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use export::{chrome_trace_json, render_timeline, write_env_trace, write_trace};
+pub use export::{chrome_trace_json, write_env_trace, write_trace};
 pub use metrics::{Histogram, HistogramSummary, Registry, RegistrySnapshot};
 pub use span::{
     drain_spans, now_nanos, set_enabled, span, span_at, trace_env_path, tracing_enabled, SpanEvent,
@@ -58,6 +57,6 @@ pub mod layer {
     pub const SERVE: &str = "serve";
     /// Storage: journal append/compact/fsync, eviction, recovery replay.
     pub const STORAGE: &str = "storage";
-    /// Bench drivers: measured wall windows (serial/pipelined/service).
+    /// The ledger benchmark's own measured windows.
     pub const BENCH: &str = "bench";
 }

@@ -139,8 +139,7 @@ impl Histogram {
     }
 }
 
-/// Serializable headline statistics of one histogram — the block
-/// embedded under `"histograms"` in every `BENCH_*.json`.
+/// Serializable headline statistics of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Number of samples.
@@ -208,8 +207,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Create an empty registry (bench drivers use private instances so
-    /// their reports are isolated from the process-wide one).
+    /// Create an empty registry (a private instance is isolated from the
+    /// process-wide one).
     pub fn new() -> Self {
         Self::default()
     }

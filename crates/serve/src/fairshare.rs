@@ -288,7 +288,7 @@ pub struct TenantAudit {
 /// share sat above the eligible minimum. Under `FairShare` the audit is a
 /// regression guard (`non_drf_picks == 0`, `max_share_gap == 0.0` by
 /// construction); under `Priority` it *measures* the unfairness the
-/// policy buys — the `multi_tenant --fair` bench prints both sides.
+/// policy buys — `tests/service_fairness.rs` asserts both sides.
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct FairnessAudit {
     /// Successful picks observed.

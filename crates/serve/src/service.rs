@@ -772,9 +772,8 @@ impl ServiceStats {
     }
 
     /// The full stats tree as a JSON value, ready for
-    /// [`serde::write_json`] / [`serde::write_json_compact`]. Dashboards
-    /// and the bench drivers use this; nothing in the service reads it
-    /// back.
+    /// [`serde::write_json`] / [`serde::write_json_compact`]. For
+    /// dashboards; nothing in the service reads it back.
     pub fn to_json(&self) -> serde::Json {
         serde::Serialize::to_json(self)
     }

@@ -4,6 +4,9 @@
 //! ```bash
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! With `HELIX_TRACE=<path>` set, the run also writes its spans there as
+//! Chrome `trace_event` JSON (load it in Perfetto).
 
 use helix_core::prelude::*;
 use helix_data::{FieldValue, Record, RecordBatch, Scalar, Schema, Value};
@@ -79,5 +82,8 @@ fn main() -> helix_common::Result<()> {
 
     assert!(second.metrics.computed < first.metrics.computed);
     println!("cross-iteration reuse worked: fewer operators recomputed.");
+    if let Err(e) = helix::obs::write_env_trace() {
+        eprintln!("warning: cannot write HELIX_TRACE file: {e}");
+    }
     Ok(())
 }

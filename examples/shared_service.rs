@@ -14,6 +14,9 @@
 //! ```text
 //! cargo run --release --example shared_service
 //! ```
+//!
+//! With `HELIX_TRACE=<path>` set, the run also writes its spans there as
+//! Chrome `trace_event` JSON (load it in Perfetto).
 
 use helix::core::SessionConfig;
 use helix::serve::{HelixService, ServiceConfig, TenantSpec};
@@ -81,6 +84,9 @@ fn main() -> helix::common::Result<()> {
             t.owned_bytes / 1024,
             t.quota_bytes / 1024,
         );
+    }
+    if let Err(e) = helix::obs::write_env_trace() {
+        eprintln!("warning: cannot write HELIX_TRACE file: {e}");
     }
     Ok(())
 }

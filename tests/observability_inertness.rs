@@ -9,11 +9,9 @@
 //!   tracing off and tracing on, at 1/2/4/8 workers/cores and under both
 //!   `HELIX_SCHEDULING` policies (strict priority and DRF fair share),
 //!   and every tenant's encoded outputs must match byte-for-byte.
-//! * **Trace validity**: a traced pipeline-bench run must export
-//!   well-formed Chrome `trace_event` JSON (the subset Perfetto loads),
-//!   and the overlap ratio *derived from the trace alone* — `(serial.wall
-//!   − pipelined.wall) / serial.io` per workload — must match the ratio
-//!   the driver reported.
+//! * **Trace validity**: a traced pipelined session must export
+//!   well-formed Chrome `trace_event` JSON (the subset Perfetto loads)
+//!   with the engine and pipeline layers on one timeline.
 //!
 //! The span ring and the enabled flag are process-global, so the tests
 //! serialize on one mutex instead of trusting the harness's thread
@@ -23,7 +21,6 @@ use helix::core::{Session, SessionConfig};
 use helix::serve::{HelixService, SchedulingPolicy, ServiceConfig, TenantSpec};
 use helix::storage::encode_value;
 use helix::workloads::{CensusWorkload, GenomicsWorkload, Workload};
-use helix_bench::pipeline::{run_pipeline_bench, PipelineBenchConfig};
 use helix_obs::{chrome_trace_json, drain_spans, set_enabled, write_trace};
 use serde::{parse_json, write_json_compact, Json};
 use std::collections::BTreeMap;
@@ -203,17 +200,11 @@ fn validate_trace(doc: &Json) -> (BTreeMap<i128, String>, Vec<&Json>) {
 }
 
 #[test]
-fn traced_pipeline_bench_exports_valid_json_with_matching_overlap() {
+fn traced_pipelined_session_exports_valid_trace_json() {
     let _gate = TRACE_GATE.lock().unwrap();
     set_enabled(true);
     drain_spans();
-    let config = PipelineBenchConfig {
-        iterations: 3,
-        workers: 2,
-        disk: helix::storage::DiskProfile::scaled(20_000_000, 50_000),
-        seed: SEED,
-    };
-    let report = run_pipeline_bench(&config).expect("bench runs");
+    pipelined_fingerprint(2);
     let (events, dropped) = drain_spans();
     set_enabled(false);
 
@@ -231,45 +222,14 @@ fn traced_pipeline_bench_exports_valid_json_with_matching_overlap() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    let (track_names, complete) = validate_trace(&parsed);
+    let (_track_names, complete) = validate_trace(&parsed);
 
-    // Re-derive each workload's overlap ratio from the trace alone and
-    // check it against the driver's report (µs-float rounding only).
-    for w in &report.workloads {
-        let track = format!("bench-{}", w.workload);
-        let tid = *track_names
-            .iter()
-            .find(|(_, name)| **name == track)
-            .map(|(tid, _)| tid)
-            .unwrap_or_else(|| panic!("no {track} track in the trace"));
-        let dur_of = |span_name: &str| -> f64 {
-            complete
-                .iter()
-                .find(|e| {
-                    e.get("tid") == Some(&Json::Int(tid))
-                        && text(e.get("name").unwrap()) == span_name
-                })
-                .map(|e| num(e.get("dur").unwrap()))
-                .unwrap_or_else(|| panic!("no {span_name} span on {track}"))
-        };
-        let serial = dur_of("serial.wall");
-        let pipelined = dur_of("pipelined.wall");
-        let serial_io = dur_of("serial.io");
-        let derived = ((serial - pipelined) / serial_io.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
-        assert!(
-            (derived - w.overlap_ratio).abs() < 0.01,
-            "{}: trace-derived overlap {derived} != reported {}",
-            w.workload,
-            w.overlap_ratio
-        );
-    }
-
-    // The engine and pipeline layers ran under the bench; their spans
-    // must be on the same timeline.
-    for cat in ["engine", "pipeline", "bench"] {
+    // The engine and pipeline layers both ran; their spans must be on
+    // the same timeline.
+    for cat in ["engine", "pipeline"] {
         assert!(
             complete.iter().any(|e| text(e.get("cat").unwrap()) == cat),
-            "no {cat} spans in the bench trace"
+            "no {cat} spans in the pipelined-session trace"
         );
     }
 }
