@@ -17,7 +17,7 @@
 //! tracked at admission granularity so a pick never races a runner's
 //! token acquisition; storage usage is the catalog's
 //! [`used_bytes_for`](../../helix_storage/catalog/struct.MaterializationCatalog.html#method.used_bytes_for)
-//! charge, refreshed by the scheduler before each pick.
+//! charge, refreshed by `dispatch` before a pick whenever it is stale.
 //!
 //! ## Determinism
 //!
@@ -180,7 +180,7 @@ impl DrfAllocator {
     /// Record one more executing-core lease for `tenant` (also counts
     /// toward its lifetime dispatch total, the share tie-break).
     pub fn acquire(&mut self, tenant: &str) {
-        let usage = self.usage.entry(tenant.to_string()).or_default();
+        let usage = self.usage_mut(tenant);
         usage.cores += 1;
         usage.dispatched += 1;
     }
@@ -206,7 +206,16 @@ impl DrfAllocator {
 
     /// Refresh `tenant`'s storage-side usage.
     pub fn set_bytes(&mut self, tenant: &str, bytes: u64) {
-        self.usage.entry(tenant.to_string()).or_default().bytes = bytes;
+        self.usage_mut(tenant).bytes = bytes;
+    }
+
+    /// `tenant`'s usage row, created on first touch — a tenant the
+    /// ledger already knows costs no `String` allocation.
+    fn usage_mut(&mut self, tenant: &str) -> &mut TenantUsage {
+        if !self.usage.contains_key(tenant) {
+            self.usage.insert(tenant.to_string(), TenantUsage::default());
+        }
+        self.usage.get_mut(tenant).expect("row exists: inserted above if it was missing")
     }
 
     /// Executing-core leases currently recorded for `tenant`.

@@ -1,8 +1,9 @@
 //! The pooled session runner: many parked state machines, few threads.
 //!
-//! The scheduler's pick (admission + DRF/priority, unchanged) decides
-//! *which* job dispatches next; this module decides *where it runs*. A
-//! dispatched job becomes a [`RunnerJob`] — a parked
+//! The admission pick (DRF/priority, run inline by
+//! [`dispatch`](crate::service::dispatch)) decides *which* job
+//! dispatches next; this module decides *where it runs*. A dispatched
+//! job becomes a [`RunnerJob`] — a parked
 //! [`SessionDriver`](helix_core::SessionDriver) plus everything it holds
 //! so far — and a fixed pool of `min(cores, max_concurrent_iterations)`
 //! worker threads drives the jobs through their phases:
@@ -34,7 +35,9 @@
 //! runner lock before re-probing the budget, so a release can never slip
 //! between "try_acquire failed" and "parked" unobserved. The budget
 //! calls the notifier with its own lock already dropped, so the nesting
-//! is cycle-free.
+//! is cycle-free. The scheduler lock sits *above* both (`dispatch` calls
+//! [`Runner::submit`] under it): no path here takes it while holding the
+//! runner lock or a budget lock.
 //!
 //! Byte-identity is untouched by all of this: parking reorders *when*
 //! iterations run (exactly like the old blocking waits did), while the
@@ -49,7 +52,7 @@
 //! pressure drains without waiting for the next store to trip it.
 
 use crate::admission::Job;
-use crate::service::{lock_session, ServiceInner};
+use crate::service::{dispatch, lock_session, ServiceInner};
 use crate::ticket::JobOutcome;
 use helix_common::timing::Nanos;
 use helix_common::HelixError;
@@ -255,17 +258,13 @@ fn housekeeping(inner: &ServiceInner) {
 /// the pool) at the first unmet need.
 fn advance(inner: &Arc<ServiceInner>, mut rj: RunnerJob) {
     // A resumed job: trace how long it was parked.
-    if let Some(parked_at) = rj.parked_at.take() {
+    if let Some(parked_at) = rj.parked_at.take().filter(|_| helix_obs::tracing_enabled()) {
         let waited = helix_common::timing::duration_to_nanos(parked_at.elapsed());
-        let _ = helix_obs::span_at(
-            helix_obs::layer::SERVE,
-            "session.park",
-            helix_obs::now_nanos().saturating_sub(waited),
-            waited,
-        )
-        .track(format!("tenant-{}", rj.job.tenant))
-        .tenant(rj.job.tenant.as_str())
-        .session(rj.job.session_id);
+        let begin = helix_obs::now_nanos().saturating_sub(waited);
+        let _ = helix_obs::span_at(helix_obs::layer::SERVE, "session.park", begin, waited)
+            .track(&*rj.job.track)
+            .tenant(rj.job.tenant.as_str())
+            .session(rj.job.session_id);
     }
     // Plan lane, once per job and before any park: if the predecessor
     // published a speculation snapshot, plan against it now — iteration
@@ -329,13 +328,13 @@ fn panic_error(panic: Box<dyn std::any::Any + Send>) -> HelixError {
 fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
     let RunnerJob { job, hint, lease, .. } = rj;
     let resume_span = helix_obs::span(helix_obs::layer::SERVE, "runner.resume")
-        .track(format!("tenant-{}", job.tenant))
+        .track(&*job.track)
         .tenant(job.tenant.as_str())
         .session(job.session_id);
     // Uncontended by construction: this job owns the session's run slot.
     let mut session = lock_session(&job.session);
     let exec_span = helix_obs::span(helix_obs::layer::SERVE, "execute")
-        .track(format!("tenant-{}", job.tenant))
+        .track(&*job.track)
         .tenant(job.tenant.as_str())
         .session(job.session_id);
     // Queue time covers admission *and* every park: submission to the
@@ -359,17 +358,22 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
         Ok(Step::Ready(prepared)) => {
             // Entering the execute phase: publish the snapshot a queued
             // successor will speculate from (only if one exists — the
-            // snapshot clones the session's statistics maps), then
-            // release the session's ordering hold so the scheduler may
-            // dispatch that successor. Publish-before-mark: a successor
-            // can only be picked after mark_executing, so it never finds
-            // the slot empty.
-            if inner.sched().queue.has_queued_job(job.session_id) {
+            // snapshot clones the session's statistics maps, so it is
+            // taken with the scheduler lock dropped), then release the
+            // session's ordering hold and dispatch what that makes
+            // eligible. Publish-before-mark: a successor can only be
+            // picked after mark_executing, so it never finds the slot
+            // empty. Without a queued successor this is one lock hold.
+            let mut sched = inner.sched();
+            if sched.queue.has_queued_job(job.session_id) {
+                drop(sched);
                 *job.spec_slot.lock().expect("spec slot poisoned") =
                     Some(driver.session().speculation_snapshot());
+                sched = inner.sched();
             }
-            inner.sched().queue.mark_executing(job.session_id);
-            inner.work.notify_all();
+            sched.queue.mark_executing(job.session_id);
+            dispatch(inner, &mut sched);
+            drop(sched);
             entered_execute = true;
             match catch_unwind(AssertUnwindSafe(|| driver.execute(prepared))) {
                 Ok(Step::Done(report)) => Ok(*report),
@@ -389,7 +393,7 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
     drop(session);
     // Token released here; the budget's notifier promotes core waiters.
     drop(lease);
-    {
+    let drained = {
         let mut sched = inner.sched();
         sched.queue.finish(&job.tenant, job.session_id, entered_execute);
         if let Some(tenant) = sched.tenants.get_mut(&job.tenant) {
@@ -397,10 +401,13 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
             tenant.queue_wait_nanos += queue_wait;
             tenant.run_nanos += run_nanos;
         }
+        // The retired job freed cap head-room and maybe its session.
+        dispatch(inner, &mut sched);
+        sched.queue.is_drained()
+    };
+    if drained {
+        inner.idle.notify_all();
     }
-    inner.work.notify_all();
-    inner.space.notify_all();
-    inner.idle.notify_all();
     // Release the session's run slot and promote its waiting successor.
     {
         let mut state = inner.runner.lock();

@@ -5,10 +5,10 @@
 //! admission/scheduling layer. Tenants register with a [`TenantSpec`]
 //! (storage quota carved from the global budget, priority, concurrency
 //! cap), open any number of [`ServiceSession`]s, and submit iterations
-//! which run on background threads:
+//! which run on the worker pool:
 //!
 //! ```text
-//! submit ──▶ bounded queue ──▶ scheduler (FIFO-with-priority or
+//! submit ──▶ bounded queue ──▶ pick (FIFO-with-priority or
 //!                      dominant-resource fair share, per-tenant +
 //!                      global caps, one in flight per session)
 //!                      ──▶ worker pool (`runner`): park until
@@ -16,6 +16,18 @@
 //!                      token grants ──▶ SessionDriver ──▶ fulfill
 //!                      ticket
 //! ```
+//!
+//! There is no scheduler thread: the pick is indexed (its cost does not
+//! grow with the backlog), so `dispatch` runs inline, under the
+//! scheduler lock, on whichever thread just made work eligible — the
+//! submitter after `enqueue`, a pool worker after `mark_executing` and
+//! after `finish`. Every such event dispatches until nothing more is
+//! eligible, so a queued job is always waiting on a dispatched one.
+//!
+//! **Lock order:** `sched → runner → budget` and `sched → catalog`,
+//! never the reverse — nothing takes the scheduler lock while holding
+//! the runner, budget or catalog lock (budget-release notifiers run with
+//! the budget lock dropped and never touch `sched`).
 //!
 //! Core accounting: the runner's base token covers the engine's
 //! coordinator; the engine and its data-parallel operators lease any
@@ -224,6 +236,9 @@ pub(crate) struct SchedState {
     pub(crate) tenants: HashMap<String, TenantState>,
     reserved_quota: u64,
     next_session_id: u64,
+    /// Submitters blocked on the bounded queue right now: a pick signals
+    /// `space` only when someone is there to hear it.
+    space_waiters: usize,
 }
 
 pub(crate) struct ServiceInner {
@@ -233,12 +248,12 @@ pub(crate) struct ServiceInner {
     pub(crate) sched: Mutex<SchedState>,
     /// The worker pool's parked-state-machine bookkeeping.
     pub(crate) runner: Runner,
-    /// Scheduler wake-ups (new work, retired work, shutdown).
-    pub(crate) work: Condvar,
     /// Submitters blocked on the bounded queue.
     pub(crate) space: Condvar,
-    /// Drain/shutdown waiters.
+    /// Drain/shutdown waiters; signalled when the queue turns drained.
     pub(crate) idle: Condvar,
+    /// `serve.pick_nanos`: one sample per pick round.
+    pick_hist: Arc<helix_obs::metrics::Histogram>,
 }
 
 impl ServiceInner {
@@ -248,16 +263,15 @@ impl ServiceInner {
 }
 
 /// The long-lived multi-tenant service. Dropping it drains in-flight and
-/// queued work, then joins the scheduler and the worker pool.
+/// queued work, then joins the worker pool.
 pub struct HelixService {
     inner: Arc<ServiceInner>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl HelixService {
     /// Start a service: open (or create) the shared catalog, size the
-    /// core budget, and launch the scheduler plus the worker pool
+    /// core budget, and launch the worker pool
     /// (`min(cores, max_concurrent_iterations)` threads — sessions
     /// beyond that park as state machines instead of holding threads).
     pub fn new(config: ServiceConfig) -> Result<HelixService> {
@@ -287,11 +301,12 @@ impl HelixService {
                 tenants: HashMap::new(),
                 reserved_quota: 0,
                 next_session_id: 0,
+                space_waiters: 0,
             }),
             runner: Runner::new(pool_size),
-            work: Condvar::new(),
             space: Condvar::new(),
             idle: Condvar::new(),
+            pick_hist: helix_obs::metrics::global().histogram("serve.pick_nanos"),
             config,
         });
         // Core grants wake parked drivers instead of blocked threads: the
@@ -304,13 +319,6 @@ impl HelixService {
                 }
             })));
         }
-        let scheduler = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("helix-serve-scheduler".into())
-                .spawn(move || scheduler_loop(inner))
-                .map_err(|e| HelixError::config(format!("scheduler spawn failed: {e}")))?
-        };
         let mut workers = Vec::with_capacity(inner.runner.pool_size());
         for i in 0..inner.runner.pool_size() {
             let inner = Arc::clone(&inner);
@@ -320,7 +328,7 @@ impl HelixService {
                 .map_err(|e| HelixError::config(format!("worker spawn failed: {e}")))?;
             workers.push(handle);
         }
-        Ok(HelixService { inner, scheduler: Some(scheduler), workers })
+        Ok(HelixService { inner, workers })
     }
 
     /// The shared core budget (for monitoring and tests).
@@ -339,10 +347,10 @@ impl HelixService {
     }
 
     /// Size of the session-runner worker pool:
-    /// `min(cores, max_concurrent_iterations)`, at least 1. Together
-    /// with the scheduler thread this is every thread the service owns —
-    /// open-loop clients can hold thousands of in-flight sessions
-    /// without the thread count moving (the stress bench asserts this).
+    /// `min(cores, max_concurrent_iterations)`, at least 1. This is
+    /// every thread the service owns — open-loop clients can hold
+    /// thousands of in-flight sessions without the thread count moving
+    /// (`tests/runner_stress.rs` asserts this).
     pub fn worker_pool_size(&self) -> usize {
         self.inner.runner.pool_size()
     }
@@ -421,6 +429,7 @@ impl HelixService {
             spec_slot: Arc::new(Mutex::new(None)),
             session_id,
             tenant: tenant.to_string(),
+            track: format!("tenant-{tenant}").into(),
         })
     }
 
@@ -486,20 +495,14 @@ impl HelixService {
 
 impl Drop for HelixService {
     fn drop(&mut self) {
-        {
-            let mut sched = self.inner.sched();
-            sched.queue.shutdown = true;
-        }
-        self.inner.work.notify_all();
+        self.inner.sched().queue.shutdown = true;
         self.inner.space.notify_all();
         // Graceful drain: queued work still runs; new submissions fail.
-        // The worker pool keeps running through the drain (a drained
-        // queue means no job is queued, dispatched, or parked).
+        // Every queued job waits on a dispatched one, and the worker
+        // that retires it dispatches what became eligible, so the pool
+        // alone empties the queue (a drained queue means no job is
+        // queued, dispatched, or parked).
         self.drain();
-        self.inner.work.notify_all();
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
         self.inner.runner.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -523,6 +526,8 @@ pub struct ServiceSession {
     spec_slot: Arc<Mutex<Option<SpeculationInputs>>>,
     session_id: u64,
     tenant: String,
+    /// The tenant's trace track label, shared with every job.
+    track: Arc<str>,
 }
 
 impl ServiceSession {
@@ -534,39 +539,42 @@ impl ServiceSession {
     /// Submit one iteration; blocks only while the bounded queue is full.
     pub fn submit(&self, wf: Workflow) -> Result<JobTicket> {
         let ticket = TicketState::new();
-        {
-            let mut sched = self.inner.sched();
-            loop {
-                if sched.queue.shutdown {
-                    return Err(HelixError::config("service is shutting down"));
-                }
-                if sched.queue.has_space() {
-                    break;
-                }
-                sched = self.inner.space.wait(sched).expect("scheduler state poisoned");
+        let mut sched = self.inner.sched();
+        loop {
+            if sched.queue.shutdown {
+                return Err(HelixError::config("service is shutting down"));
             }
-            let (priority, cap) = {
-                let state = sched
-                    .tenants
-                    .get(&self.tenant)
-                    .ok_or_else(|| HelixError::not_found("tenant", &*self.tenant))?;
-                (state.spec.priority, state.spec.max_concurrent)
-            };
-            sched.queue.enqueue(Job {
-                seq: 0,
-                priority,
-                tenant: self.tenant.clone(),
-                tenant_max_concurrent: cap,
-                session_id: self.session_id,
-                session: Arc::clone(&self.session),
-                spec_slot: Arc::clone(&self.spec_slot),
-                wf,
-                ticket: Arc::clone(&ticket),
-                enqueued: Instant::now(),
-            });
+            if sched.queue.has_space() {
+                break;
+            }
+            sched.space_waiters += 1;
+            sched = self.inner.space.wait(sched).expect("scheduler state poisoned");
+            sched.space_waiters -= 1;
         }
-        self.inner.work.notify_all();
-        Ok(JobTicket { state: ticket, service: Arc::downgrade(&self.inner) })
+        let (priority, cap) = {
+            let state = sched
+                .tenants
+                .get(&self.tenant)
+                .ok_or_else(|| HelixError::not_found("tenant", &*self.tenant))?;
+            (state.spec.priority, state.spec.max_concurrent)
+        };
+        sched.queue.enqueue(Job {
+            seq: 0,
+            priority,
+            tenant: self.tenant.clone(),
+            track: Arc::clone(&self.track),
+            tenant_max_concurrent: cap,
+            session_id: self.session_id,
+            session: Arc::clone(&self.session),
+            spec_slot: Arc::clone(&self.spec_slot),
+            wf,
+            ticket: Arc::clone(&ticket),
+            enqueued: Instant::now(),
+        });
+        dispatch(&self.inner, &mut sched);
+        drop(sched);
+        let service = Arc::downgrade(&self.inner);
+        Ok(JobTicket { state: ticket, session_id: self.session_id, service })
     }
 
     /// Submit a batch of iterations in order, returning one ticket per
@@ -601,16 +609,23 @@ pub(crate) fn lock_session(session: &Mutex<Session>) -> MutexGuard<'_, Session> 
     }
 }
 
-/// Cancel a still-queued job by its ticket: remove it from the admission
-/// queue and fulfill the ticket as cancelled. Returns `false` when the
+/// Cancel a still-queued job by its ticket: remove it from its session's
+/// FIFO and fulfill the ticket as cancelled. Returns `false` when the
 /// job already dispatched (it will finish its iteration) or already
 /// completed. Backs [`JobTicket::cancel`].
-pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &Arc<TicketState>) -> bool {
-    let removed = inner.sched().queue.remove_queued(ticket);
+pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &JobTicket) -> bool {
+    let mut sched = inner.sched();
+    let removed = sched.queue.remove_queued(ticket.session_id, &ticket.state);
     let Some(job) = removed else { return false };
-    // A queue slot freed and possibly the last job left the system.
-    inner.space.notify_all();
-    inner.idle.notify_all();
+    // A queue slot freed and possibly the last job left the system
+    // (removing queued work makes nothing else eligible: no dispatch).
+    if sched.space_waiters > 0 {
+        inner.space.notify_all();
+    }
+    if sched.queue.is_drained() {
+        inner.idle.notify_all();
+    }
+    drop(sched);
     job.ticket.fulfill(JobOutcome {
         result: Err(HelixError::exec("admission", "iteration cancelled before dispatch")),
         queue_wait_nanos: job.enqueued.elapsed().as_nanos() as Nanos,
@@ -620,55 +635,34 @@ pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &Arc<TicketState>) -> 
     true
 }
 
-fn scheduler_loop(inner: Arc<ServiceInner>) {
-    let pick_hist = helix_obs::metrics::global().histogram("serve.pick_nanos");
-    // Memoized ledger refresh: `(byte epoch, tenant set)` of the last
-    // `set_tenant_bytes` walk. Pick rounds are frequent (every submit,
-    // completion, and requeue wakes the loop) while byte accounting
-    // changes only on store/claim/release/evict — the catalog's dirty
-    // epoch tells the rounds apart, so unchanged rounds skip the walk
-    // entirely and the pick hot path flattens to one epoch read.
-    let mut last_refresh: Option<(u64, Vec<String>)> = None;
-    loop {
-        let job = {
-            let mut sched = inner.sched();
-            loop {
-                let pick_started = std::time::Instant::now();
-                // Refresh the DRF ledger's storage side before deciding:
-                // dominant shares fold in each competing tenant's current
-                // catalog charge — one batched catalog-lock hold for all
-                // queued tenants. (The catalog has its own lock and never
-                // takes the scheduler's, so this nesting is cycle-free.)
-                let tenants = sched.queue.queued_tenants();
-                if !tenants.is_empty() {
-                    let epoch = inner.catalog.dirty_epoch();
-                    let stale =
-                        last_refresh.as_ref().is_none_or(|(e, t)| *e != epoch || *t != tenants);
-                    if stale {
-                        let bytes = inner.catalog.used_bytes_for_many(&tenants);
-                        sched.queue.set_tenant_bytes(&tenants, &bytes);
-                        last_refresh = Some((epoch, tenants));
-                    }
-                }
-                let picked = sched.queue.pick();
-                pick_hist.record(helix_common::timing::duration_to_nanos(pick_started.elapsed()));
-                if let Some(job) = picked {
-                    break Some(job);
-                }
-                if sched.queue.shutdown && sched.queue.is_drained() {
-                    break None;
-                }
-                sched = inner.work.wait(sched).expect("scheduler state poisoned");
-            }
-        };
-        let Some(job) = job else { return };
-        // The pick freed a queue slot: wake submitters blocked on the
-        // bounded queue now, not when the iteration eventually finishes.
-        inner.space.notify_all();
-        // The pick decided *which* session advances; the worker pool
-        // decides *where*. The job becomes a parked state machine in the
-        // runner — no per-job thread, no spawn-failure fallback.
+/// Dispatch every job that is eligible right now: pick per the policy
+/// and hand each pick to the worker pool, which decides *where* it runs
+/// (a parked state machine — no per-job thread). Called with the
+/// scheduler lock held at the three events that can make work eligible
+/// (see the module docs); the pick decides *which* session advances.
+pub(crate) fn dispatch(inner: &ServiceInner, sched: &mut SchedState) {
+    let mut picked_any = false;
+    while sched.queue.can_dispatch() {
+        let pick_started = Instant::now();
+        // Refresh the DRF ledger's storage side before deciding: dominant
+        // shares fold in each competing tenant's current catalog charge —
+        // one batched catalog-lock hold for the queued tenants whose
+        // charge may have moved, none while the byte epoch stands still.
+        let stale = sched.queue.stale_tenants(inner.catalog.dirty_epoch());
+        if !stale.is_empty() {
+            let bytes = inner.catalog.used_bytes_for_many(&stale);
+            sched.queue.set_tenant_bytes(&stale, &bytes);
+        }
+        let picked = sched.queue.pick();
+        inner.pick_hist.record(helix_common::timing::duration_to_nanos(pick_started.elapsed()));
+        let Some(job) = picked else { break };
+        picked_any = true;
         inner.runner.submit(job);
+    }
+    // Picks freed queue slots: wake submitters blocked on the bounded
+    // queue now, not when the iterations eventually finish.
+    if picked_any && sched.space_waiters > 0 {
+        inner.space.notify_all();
     }
 }
 
@@ -1095,11 +1089,100 @@ mod tests {
         let svc = service(1);
         svc.register_tenant("t", TenantSpec::default()).unwrap();
         let session = svc.open_session("t", SessionConfig::in_memory()).unwrap();
-        let ticket = session.submit(chain(1)).unwrap();
+        // A backlog, not one job: with no scheduler thread, drop-time
+        // draining relies on each retiring worker dispatching the next.
+        let tickets = session.submit_all((0..64).map(|_| chain(1))).unwrap();
         drop(svc);
-        let report = ticket.wait_outcome().result.expect("queued job still ran");
-        assert_eq!(report.output_scalar("c").unwrap().as_f64(), Some(11.0));
+        for ticket in tickets {
+            let report = ticket.wait_outcome().result.expect("queued job still ran");
+            assert_eq!(report.output_scalar("c").unwrap().as_f64(), Some(11.0));
+        }
         assert!(session.submit(chain(1)).is_err(), "service is gone");
+    }
+
+    /// One source whose value (and signature) is `version`: nothing to
+    /// reuse, nothing to spin on.
+    fn tiny(version: u64) -> Workflow {
+        let mut wf = Workflow::new("tiny");
+        let x = wf.source("x", version, move |_| Ok(Value::Scalar(Scalar::I64(version as i64))));
+        wf.output(x);
+        wf
+    }
+
+    #[test]
+    fn a_burst_resolves_in_session_order_with_late_cancels() {
+        const SESSIONS: usize = 64;
+        const JOBS: usize = 4096;
+        let svc = HelixService::new(ServiceConfig::new(2).with_queue_capacity(JOBS))
+            .expect("service starts");
+        for t in 0..4 {
+            svc.register_tenant(&format!("t{t}"), TenantSpec::default().with_max_concurrent(2))
+                .unwrap();
+        }
+        let sessions: Vec<ServiceSession> = (0..SESSIONS)
+            .map(|s| svc.open_session(&format!("t{}", s % 4), SessionConfig::in_memory()).unwrap())
+            .collect();
+        // Job `i` is session `i % 64`'s `i / 64`-th, and says so.
+        let tickets: Vec<JobTicket> = (0..JOBS)
+            .map(|i| sessions[i % SESSIONS].submit(tiny((i / SESSIONS) as u64)).unwrap())
+            .collect();
+        // Mid-burst: the last four jobs of every session. A `true` means
+        // the job was still queued and is now resolved as cancelled; a
+        // `false` means it had dispatched and finishes normally.
+        const LATE: usize = JOBS - 256;
+        let cancelled: Vec<bool> = tickets[LATE..].iter().map(JobTicket::cancel).collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let outcome =
+                ticket.wait_timeout(std::time::Duration::from_secs(120)).expect("resolves");
+            if i >= LATE && cancelled[i - LATE] {
+                assert!(outcome.cancelled && outcome.result.is_err(), "job {i} was dequeued");
+                continue;
+            }
+            let report = outcome.result.expect("iteration succeeds");
+            let nth = (i / SESSIONS) as u64;
+            assert_eq!(report.iteration, nth, "job {i} retired out of submission order");
+            assert_eq!(report.output_scalar("x").unwrap().as_f64(), Some(nth as f64));
+        }
+        svc.drain();
+        let stats = svc.stats();
+        let ran = (JOBS - cancelled.iter().filter(|c| **c).count()) as u64;
+        assert_eq!(stats.fairness.picks, ran, "one pick per dispatched job");
+        assert_eq!(stats.tenants.values().map(|t| t.iterations).sum::<u64>(), ran);
+        assert_eq!((stats.queue.queued, stats.queue.running, stats.queue.planning), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_full_queue_blocks_the_submitter_until_a_pick_frees_a_slot() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static GATE: AtomicBool = AtomicBool::new(false);
+        let config = ServiceConfig::new(1).with_queue_capacity(1).with_max_concurrent_iterations(1);
+        let svc = HelixService::new(config).expect("service starts");
+        svc.register_tenant("t", TenantSpec::default().with_max_concurrent(2)).unwrap();
+        let a = svc.open_session("t", SessionConfig::in_memory()).unwrap();
+        let b = svc.open_session("t", SessionConfig::in_memory()).unwrap();
+        let running = a.submit(gated(&GATE)).unwrap(); // takes the one dispatch slot
+        let queued = b.submit(tiny(1)).unwrap(); // fills the one queue slot
+        assert_eq!(svc.queue_snapshot().queued, 1);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| b.submit(tiny(2)));
+            // The third submit must wait, not grow the queue or fail.
+            while svc.inner.sched().space_waiters == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(svc.queue_snapshot().queued, 1, "the bounded queue held");
+            assert!(!blocked.is_finished());
+            // The gated job retires, its worker picks `queued`, and that
+            // pick — not the eventual finish — wakes the submitter.
+            GATE.store(true, Ordering::Release);
+            let third = blocked.join().expect("submitter thread").expect("slot freed");
+            for (ticket, value) in [(queued, 1.0), (third, 2.0)] {
+                let report = ticket.wait().expect("iteration succeeds");
+                assert_eq!(report.output_scalar("x").unwrap().as_f64(), Some(value));
+            }
+        });
+        running.wait().expect("the gated job finishes normally");
+        svc.drain();
+        assert_eq!(svc.inner.sched().space_waiters, 0);
     }
 
     /// A workflow whose source blocks until `flag` is raised — pins a

@@ -72,6 +72,8 @@ impl TicketState {
 /// A claim on one submitted iteration's outcome.
 pub struct JobTicket {
     pub(crate) state: Arc<TicketState>,
+    /// The submitting session: cancellation scans only its FIFO.
+    pub(crate) session_id: u64,
     /// Weak service handle for [`cancel`](Self::cancel): a ticket must
     /// not keep a dropped service alive, and cancelling after shutdown
     /// is simply a no-op.
@@ -115,7 +117,7 @@ impl JobTicket {
     /// already completed, or the service is gone.
     pub fn cancel(&self) -> bool {
         match self.service.upgrade() {
-            Some(inner) => crate::service::cancel_queued(&inner, &self.state),
+            Some(inner) => crate::service::cancel_queued(&inner, self),
             None => false,
         }
     }

@@ -1,7 +1,7 @@
 //! Stress obligations of the pooled session runner: many open-loop
 //! sessions must multiplex over a *fixed* set of service threads —
-//! `min(cores, max_concurrent_iterations)` pool workers plus one
-//! scheduler — with every job completing and the core budget intact.
+//! `min(cores, max_concurrent_iterations)` pool workers and nothing
+//! else — with every job completing and the core budget intact.
 //! This is the structural difference from the old thread-per-job
 //! runner, whose thread count scaled with the number of in-flight
 //! sessions.
@@ -122,17 +122,17 @@ fn run_stress(sessions: usize) {
     let peak_cores_leased = service.stats().peak_cores_leased;
     assert!(peak_cores_leased <= CORES, "core budget violated: peak {peak_cores_leased} > {CORES}");
     assert!(pool_size <= CORES, "pool never exceeds the core budget");
-    // The tentpole bound: the service adds its pool workers and one
-    // scheduler, and nothing that scales with session count. One thread
-    // of slack absorbs a transient (e.g. a lazy background-writer
-    // spin-up caught mid-sample).
+    // The tentpole bound: the service adds its pool workers and nothing
+    // that scales with session count. One thread of slack absorbs a
+    // transient (e.g. a lazy background-writer spin-up caught
+    // mid-sample).
     if peak_threads > 0 {
         let service_threads = peak_threads.saturating_sub(baseline_threads);
         assert!(
-            service_threads <= pool_size + 2,
+            service_threads <= pool_size + 1,
             "thread ceiling violated: {sessions} sessions made the service add \
-             {service_threads} threads at peak (pool {pool_size} + scheduler + slack allows {})",
-            pool_size + 2,
+             {service_threads} threads at peak (pool {pool_size} + slack allows {})",
+            pool_size + 1,
         );
     }
 }
