@@ -48,7 +48,7 @@ use helix_exec::{
 };
 use helix_flow::oep::State;
 use helix_flow::{Dag, NodeId};
-use helix_storage::MaterializationCatalog;
+use helix_storage::{encoded_len, MaterializationCatalog};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -357,6 +357,19 @@ fn run_parallel(
                     // only drain what serial would still have run.
                 }
                 let _ = sweep_span.amount(dispatched);
+                // Finalize *after* the sweep, so encoding and writing a
+                // multi-MB out-of-scope value overlaps the nodes the last
+                // completion made ready instead of delaying them. The
+                // commit sequence and its trigger gate are serial's, so
+                // catalogs and the reported error still are too. A node
+                // dispatched in this sweep when a finalize below fails
+                // runs and is discarded: it was not done when the event
+                // committed, so it sits past the event's trigger and hence
+                // past the error — its finalize events never commit and
+                // its error never wins. Unconditional: after an error,
+                // events triggered before the error position must still
+                // commit (commit_finalizes enforces the limit).
+                coord.commit_finalizes();
                 if in_flight == 0 {
                     break;
                 }
@@ -365,10 +378,6 @@ fn run_parallel(
                 let node = NodeId(completion.node as u32);
                 coord.on_completion(completion);
                 frontier.complete(node);
-                // Unconditional: after an error, events triggered before
-                // the error position must still commit for failure parity
-                // with serial (commit_finalizes enforces the limit).
-                coord.commit_finalizes();
             }
         },
     );
@@ -736,16 +745,23 @@ impl Coordinator<'_> {
         }
         let spec = self.wf.dag().payload(node);
         // Only computed values are candidates: loaded ones are already on
-        // disk.
-        if self.states[i] == State::Compute && !self.catalog.contains(self.sigs[i]) {
+        // disk. `Never` stores nothing, not even outputs.
+        if self.strategy != MatStrategy::Never
+            && self.states[i] == State::Compute
+            && !self.catalog.contains(self.sigs[i])
+        {
             let value = self.cache.get(node.0).expect("checked above");
-            let size = value.byte_size();
+            // The artifact's encoded size, not its resident one: the
+            // bytes the quota is charged and the bytes the next plan's
+            // `estimated_load_nanos` prices, so `l(n)` here is the very
+            // `l_i` OEP will see.
+            let size = encoded_len(&value);
             // Budget is per-tenant: a named tenant is charged only for the
             // artifacts *it* stored; the solo owner is charged the whole
             // catalog (identical to the original single-session check).
             let used = self.catalog.used_bytes_for(self.tenant);
             let budget_remaining = self.budget_bytes.saturating_sub(used);
-            let mandatory = spec.is_output && self.strategy != MatStrategy::Never;
+            let mandatory = spec.is_output;
             let elective = should_materialize(
                 self.strategy,
                 cumulative_run_time(self.wf.dag(), &self.incurred, node),
@@ -813,6 +829,7 @@ impl Coordinator<'_> {
                         &value,
                     )?,
                 };
+                debug_assert_eq!(bytes, size, "encoded_len must match the stored artifact");
                 if let Some(run) = self.runs[i].as_mut() {
                     run.materialize_nanos = write_nanos;
                     run.materialized_bytes = bytes;
@@ -828,9 +845,11 @@ impl Coordinator<'_> {
 mod tests {
     use super::*;
     use crate::track::{chain_signatures, ExecEnv};
-    use helix_data::Scalar;
+    use helix_data::FieldValue::Text;
+    use helix_data::{Record, RecordBatch, Scalar, Schema};
     use helix_exec::RunState;
     use helix_storage::DiskProfile;
+    use std::sync::OnceLock;
 
     fn chain_wf() -> Workflow {
         let mut wf = Workflow::new("e");
@@ -1272,6 +1291,174 @@ mod tests {
             "failed iteration must leave the same catalog at any worker count"
         );
         assert_eq!(catalog_sigs[0].len(), 1, "exactly slow_ok's artifact survives");
+    }
+
+    /// `src` sleeps 20 ms and returns 19 000 rows of four 7-byte text
+    /// cells: ≈ 3 MB resident, ≈ 0.7 MB encoded (the IE shape). On
+    /// `paper_hdd`, `2l` is ≈ 39 ms priced on resident bytes and ≈ 12 ms
+    /// on encoded bytes, with `C(src)` in between. `rows` is the output.
+    fn text_heavy_wf(rows_version: u64) -> Workflow {
+        let mut wf = Workflow::new("text");
+        let src = wf.source("src", 1, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let rows =
+                (0..19_000).map(|_| Record::train(vec![Text("abcdefg".into()); 4])).collect();
+            Ok(Value::records(RecordBatch::new(Schema::new(["a", "b", "c", "d"]), rows)?))
+        });
+        let rows = wf.reduce("rows", src, rows_version, |v, _| {
+            Ok(Value::Scalar(Scalar::I64(v.as_collection()?.len() as i64)))
+        });
+        wf.output(rows);
+        wf
+    }
+
+    fn run_opt(wf: &Workflow, catalog: &MaterializationCatalog, budget_bytes: u64) -> ExecOutcome {
+        let sigs = chain_signatures(wf, &HashMap::new(), &ExecEnv::new(7));
+        let states = vec![State::Compute; wf.len()];
+        execute(EngineParams {
+            wf,
+            states: &states,
+            sigs: &sigs,
+            catalog,
+            strategy: MatStrategy::Opt,
+            budget_bytes,
+            workers: 1,
+            iteration: 0,
+            seed: 7,
+            tenant: "",
+            core_budget: None,
+            pipeline: false,
+            writer: None,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn algorithm2_prices_the_encoded_bytes_it_stores() {
+        let catalog = MaterializationCatalog::open_temp(DiskProfile::paper_hdd()).unwrap();
+        let wf = text_heavy_wf(1);
+        let sigs = chain_signatures(&wf, &HashMap::new(), &ExecEnv::new(7));
+        let src = wf.node_by_name("src").unwrap();
+        let outcome = run_opt(&wf, &catalog, u64::MAX);
+
+        let entry = catalog.entry(sigs[src.ix()]).expect("C(src) > 2l on encoded bytes: stored");
+        let (stored, _) = catalog.load(sigs[src.ix()]).unwrap();
+        let run = &outcome.metrics.node_runs[src.ix()];
+        assert!(stored.byte_size() > 4 * entry.bytes, "the test's premise: text-heavy");
+        assert_eq!(run.materialized_bytes, encoded_len(&stored));
+        assert_eq!(run.materialized_bytes, entry.bytes);
+
+        // The next iteration edits the output only: the plan prices the
+        // load on the same bytes Algorithm 2 did, and takes it.
+        let next = text_heavy_wf(2);
+        let next_sigs = chain_signatures(&next, &HashMap::new(), &ExecEnv::new(7));
+        assert_eq!(next_sigs[src.ix()], sigs[src.ix()]);
+        let stats: HashMap<Signature, Nanos> = outcome.compute_times.iter().copied().collect();
+        let plan = crate::plan::plan(
+            &next,
+            &crate::plan::PlanInputs {
+                sigs: &next_sigs,
+                catalog: &catalog,
+                reuse: crate::session::ReuseScope::All,
+                compute_stats: &stats,
+                default_compute_nanos: 1_000,
+            },
+        );
+        assert_eq!(plan.states[src.ix()], State::Load);
+    }
+
+    #[test]
+    fn budget_admits_on_encoded_bytes() {
+        // A quota between the encoded (≈ 0.7 MB) and resident (≈ 3 MB)
+        // sizes; an unthrottled disk makes `C > 2l` either way, so only
+        // admission decides.
+        let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
+        let wf = text_heavy_wf(1);
+        let sigs = chain_signatures(&wf, &HashMap::new(), &ExecEnv::new(7));
+        run_opt(&wf, &catalog, 1_500_000);
+        assert!(catalog.contains(sigs[wf.node_by_name("src").unwrap().ix()]));
+    }
+
+    /// `src → {a, side}, a → b` — level width 2, so two workers take the
+    /// parallel driver. `side` finishes long before `a`, so `a`'s
+    /// completion is what triggers the finalizes of `side` and `src`.
+    fn fork_wf(
+        a_end: Option<Arc<OnceLock<Instant>>>,
+        b_start: Option<Arc<OnceLock<Instant>>>,
+    ) -> Workflow {
+        let mut wf = Workflow::new("fork");
+        let src = wf.source("src", 1, |_| Ok(Value::Scalar(Scalar::F64(1.0))));
+        let a = wf.reduce("a", src, 1, move |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            if let Some(at) = &a_end {
+                at.set(Instant::now()).unwrap();
+            }
+            Ok(Value::Scalar(Scalar::F64(2.0)))
+        });
+        let _side = wf.reduce("side", src, 1, |_, _| Ok(Value::Scalar(Scalar::F64(3.0))));
+        let b = wf.reduce("b", a, 1, move |_, _| {
+            if let Some(at) = &b_start {
+                at.set(Instant::now()).unwrap();
+            }
+            Ok(Value::Scalar(Scalar::F64(4.0)))
+        });
+        wf.output(b);
+        wf
+    }
+
+    #[test]
+    fn finalization_overlaps_dispatch() {
+        // Every store takes ≥ 200 ms (write-throttled seek), and `a`'s
+        // completion triggers two of them. Finalizing before the sweep
+        // would hold `b` back by ≥ 400 ms.
+        let a_end = Arc::new(OnceLock::new());
+        let b_start = Arc::new(OnceLock::new());
+        let wf = fork_wf(Some(Arc::clone(&a_end)), Some(Arc::clone(&b_start)));
+        let catalog =
+            MaterializationCatalog::open_temp(DiskProfile::scaled(u64::MAX, 200_000_000)).unwrap();
+        run_all_compute_with_workers(&wf, &catalog, MatStrategy::Always, 2);
+        let gap = b_start.get().unwrap().saturating_duration_since(*a_end.get().unwrap());
+        assert!(gap < std::time::Duration::from_millis(100), "b waited {gap:?} behind finalizes");
+        assert_eq!(catalog.len(), 4);
+    }
+
+    #[test]
+    fn failed_finalize_matches_serial_at_any_worker_count() {
+        // The catalog's directory is gone, so the first inline store
+        // fails with an io error. In the parallel run `b` is dispatched in
+        // the same sweep as that failing finalize: it runs and is
+        // discarded, and the error and catalog still equal serial's.
+        let mut outcomes = Vec::new();
+        for workers in [1, 4] {
+            let wf = fork_wf(None, None);
+            let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
+            std::fs::remove_dir_all(catalog.root()).unwrap();
+            let sigs = chain_signatures(&wf, &HashMap::new(), &ExecEnv::new(7));
+            let states = vec![State::Compute; wf.len()];
+            let result = execute(EngineParams {
+                wf: &wf,
+                states: &states,
+                sigs: &sigs,
+                catalog: &catalog,
+                strategy: MatStrategy::Always,
+                budget_bytes: u64::MAX,
+                workers,
+                iteration: 0,
+                seed: 7,
+                tenant: "",
+                core_budget: None,
+                pipeline: false,
+                writer: None,
+            });
+            let Err(err) = result else {
+                panic!("workers={workers}: the store must fail");
+            };
+            let entries: Vec<String> =
+                catalog.entries().iter().map(|e| e.signature.clone()).collect();
+            outcomes.push((format!("{err}"), entries));
+        }
+        assert!(outcomes[0].0.starts_with("io error"), "{}", outcomes[0].0);
+        assert_eq!(outcomes[0], outcomes[1], "parallel must fail like serial");
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! `l`) plus next iteration's load (`l`) must beat recomputing the pruned
 //! ancestor chain (`C`).
 //!
+//! `l(n)` is the disk model over the artifact's *encoded* bytes
+//! ([`helix_storage::encoded_len`], counted without encoding) — the same
+//! function of the same bytes that
+//! [`MaterializationCatalog::estimated_load_nanos`](helix_storage::MaterializationCatalog::estimated_load_nanos)
+//! hands OEP once the artifact is stored, so the paper's one `l_i` is one
+//! number here too. Budget admission is charged in the same bytes. No
+//! decode term is added on either side.
+//!
 //! The paper's two comparison extremes are provided as policies too:
 //! `Always` (HELIX AM) and `Never` (HELIX NM).
 //!

@@ -28,44 +28,31 @@ use std::sync::Arc;
 // Low-level writer / reader
 // ---------------------------------------------------------------------
 
-/// Append-only byte sink with varint framing.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
+/// Where the field writers put their bytes: a [`Writer`] keeps them, a
+/// [`Counter`] only counts them. Every `put_*` is written once, here, over
+/// the two primitives, so [`encoded_len`] cannot drift from
+/// [`encode_value`].
+trait Sink {
+    /// Whether byte *order* matters. A length-only sink lets map-valued
+    /// fields skip the sort that makes artifacts byte-stable.
+    const ORDERED: bool;
 
-impl Writer {
-    /// New empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
+    fn put_u8(&mut self, v: u8);
 
-    /// New writer with `capacity` bytes pre-allocated. The codec sits on
-    /// the prefetch/background-write hot path, so `encode_value` passes a
-    /// cheap size hint here instead of letting the buffer double its way
-    /// up through reallocations.
-    pub fn with_capacity(capacity: usize) -> Writer {
-        Writer { buf: Vec::with_capacity(capacity) }
-    }
+    fn put_raw(&mut self, b: &[u8]);
 
-    /// Finished bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
+    /// Capacity hint before a run of `additional` bytes.
+    fn reserve(&mut self, _additional: usize) {}
 
     fn put_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.push(byte);
+                self.put_u8(byte);
                 return;
             }
-            self.buf.push(byte | 0x80);
+            self.put_u8(byte | 0x80);
         }
     }
 
@@ -74,12 +61,12 @@ impl Writer {
     }
 
     fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.put_raw(&v.to_bits().to_le_bytes());
     }
 
     fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
-        self.buf.extend_from_slice(b);
+        self.put_raw(b);
     }
 
     fn put_str(&mut self, s: &str) {
@@ -111,10 +98,70 @@ impl Writer {
         // One reservation for the whole slice: dense vectors and model
         // weight matrices dominate artifact payloads, and growing the
         // buffer 8 bytes at a time would reallocate log₂(n) times.
-        self.buf.reserve(vs.len() * 8);
+        self.reserve(vs.len() * 8);
         for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            self.put_f64(*v);
         }
+    }
+}
+
+/// Append-only byte sink with varint framing.
+#[derive(Default)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// New empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// New writer with `capacity` bytes pre-allocated. The codec sits on
+    /// the prefetch/background-write hot path, so `encode_value` passes a
+    /// cheap size hint here instead of letting the buffer double its way
+    /// up through reallocations.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer { buf: Vec::with_capacity(capacity) }
+    }
+
+    /// Finished bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+impl Sink for Writer {
+    const ORDERED: bool = true;
+
+    fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+}
+
+/// Length-only sink behind [`encoded_len`].
+#[derive(Default)]
+struct Counter {
+    len: u64,
+}
+
+impl Sink for Counter {
+    const ORDERED: bool = false;
+
+    fn put_u8(&mut self, _v: u8) {
+        self.len += 1;
+    }
+
+    fn put_raw(&mut self, b: &[u8]) {
+        self.len += b.len() as u64;
     }
 }
 
@@ -237,7 +284,7 @@ impl<'a> Reader<'a> {
 // Field-level encode/decode
 // ---------------------------------------------------------------------
 
-fn put_split(w: &mut Writer, s: Split) {
+fn put_split<S: Sink>(w: &mut S, s: Split) {
     w.put_u8(s.to_byte());
 }
 
@@ -246,7 +293,7 @@ fn get_split(r: &mut Reader) -> Result<Split> {
     Split::from_byte(b).ok_or_else(|| HelixError::codec(format!("bad split byte {b}")))
 }
 
-fn put_field_value(w: &mut Writer, v: &FieldValue) {
+fn put_field_value<S: Sink>(w: &mut S, v: &FieldValue) {
     match v {
         FieldValue::Null => w.put_u8(0),
         FieldValue::Int(i) => {
@@ -274,7 +321,7 @@ fn get_field_value(r: &mut Reader) -> Result<FieldValue> {
     })
 }
 
-fn put_feature_vector(w: &mut Writer, v: &FeatureVector) {
+fn put_feature_vector<S: Sink>(w: &mut S, v: &FeatureVector) {
     match v {
         FeatureVector::Dense(d) => {
             w.put_u8(0);
@@ -314,7 +361,7 @@ fn get_feature_vector(r: &mut Reader) -> Result<FeatureVector> {
     })
 }
 
-fn put_bundle(w: &mut Writer, b: &FeatureBundle) {
+fn put_bundle<S: Sink>(w: &mut S, b: &FeatureBundle) {
     match b {
         FeatureBundle::Categorical(kv) => {
             w.put_u8(0);
@@ -379,7 +426,7 @@ fn get_bundle(r: &mut Reader) -> Result<FeatureBundle> {
     })
 }
 
-fn put_records(w: &mut Writer, batch: &RecordBatch) {
+fn put_records<S: Sink>(w: &mut S, batch: &RecordBatch) {
     w.put_varint(batch.schema.arity() as u64);
     for c in batch.schema.columns() {
         w.put_str(c);
@@ -413,7 +460,7 @@ fn get_records(r: &mut Reader) -> Result<RecordBatch> {
     RecordBatch::new(schema, rows)
 }
 
-fn put_units(w: &mut Writer, batch: &UnitBatch) {
+fn put_units<S: Sink>(w: &mut S, batch: &UnitBatch) {
     w.put_varint(batch.units.len() as u64);
     for u in &batch.units {
         w.put_varint(u.origin as u64);
@@ -436,10 +483,9 @@ fn get_units(r: &mut Reader) -> Result<UnitBatch> {
     Ok(UnitBatch::new(units))
 }
 
-fn put_examples(w: &mut Writer, batch: &ExampleBatch) {
-    let entries: Vec<(&str, u32)> = batch.space.entries().collect();
-    w.put_varint(entries.len() as u64);
-    for (name, owner) in entries {
+fn put_examples<S: Sink>(w: &mut S, batch: &ExampleBatch) {
+    w.put_varint(batch.space.dim() as u64);
+    for (name, owner) in batch.space.entries() {
         w.put_str(name);
         w.put_varint(owner as u64);
     }
@@ -473,7 +519,24 @@ fn get_examples(r: &mut Reader) -> Result<ExampleBatch> {
     Ok(ExampleBatch::new(space, examples))
 }
 
-fn put_model(w: &mut Writer, model: &Model) {
+/// A `token → row` map, sorted by token so artifacts are byte-stable
+/// (a [`Counter`] skips the sort: order does not change the length).
+fn put_vocab<S: Sink>(w: &mut S, vocab: &HashMap<String, u32>) {
+    w.put_varint(vocab.len() as u64);
+    let mut put = |token: &str, row: u32| {
+        w.put_str(token);
+        w.put_varint(row as u64);
+    };
+    if S::ORDERED {
+        let mut entries: Vec<(&String, &u32)> = vocab.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter().for_each(|(token, row)| put(token, *row));
+    } else {
+        vocab.iter().for_each(|(token, row)| put(token, *row));
+    }
+}
+
+fn put_model<S: Sink>(w: &mut S, model: &Model) {
     match model {
         Model::Linear(m) => {
             w.put_u8(0);
@@ -496,14 +559,7 @@ fn put_model(w: &mut Writer, model: &Model) {
         Model::Embeddings(m) => {
             w.put_u8(2);
             w.put_varint(m.dim as u64);
-            w.put_varint(m.vocab.len() as u64);
-            // Deterministic order for byte-stable artifacts.
-            let mut entries: Vec<(&String, &u32)> = m.vocab.iter().collect();
-            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for (token, row) in entries {
-                w.put_str(token);
-                w.put_varint(*row as u64);
-            }
+            put_vocab(w, &m.vocab);
             w.put_f64_slice(&m.vectors);
         }
         Model::NaiveBayes(m) => {
@@ -526,13 +582,7 @@ fn put_model(w: &mut Writer, model: &Model) {
                 }
                 TransformModel::Indexer(i) => {
                     w.put_u8(2);
-                    w.put_varint(i.vocab.len() as u64);
-                    let mut entries: Vec<(&String, &u32)> = i.vocab.iter().collect();
-                    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                    for (k, v) in entries {
-                        w.put_str(k);
-                        w.put_varint(*v as u64);
-                    }
+                    put_vocab(w, &i.vocab);
                 }
                 TransformModel::RandomFourier { projection, offsets, dim_in, dim_out } => {
                     w.put_u8(3);
@@ -615,7 +665,7 @@ fn get_model(r: &mut Reader) -> Result<Model> {
     })
 }
 
-fn put_scalar(w: &mut Writer, s: &Scalar) {
+fn put_scalar<S: Sink>(w: &mut S, s: &Scalar) {
     match s {
         Scalar::F64(v) => {
             w.put_u8(0);
@@ -661,24 +711,41 @@ fn get_scalar(r: &mut Reader) -> Result<Scalar> {
 // Top-level frame
 // ---------------------------------------------------------------------
 
+/// The artifact payload: the value kind byte, then its fields.
+fn put_value<S: Sink>(w: &mut S, value: &Value) {
+    w.put_u8(value.kind().to_byte());
+    match value {
+        Value::Collection(DataCollection::Records(b)) => put_records(w, b),
+        Value::Collection(DataCollection::Units(b)) => put_units(w, b),
+        Value::Collection(DataCollection::Examples(b)) => put_examples(w, b),
+        Value::Model(m) => put_model(w, m),
+        Value::Scalar(s) => put_scalar(w, s),
+    }
+}
+
 /// Encode a value into one self-contained, sealed [`FrameKind::Artifact`]
 /// frame.
 pub fn encode_value(value: &Value) -> Vec<u8> {
-    // `byte_size` is a cheap in-memory estimate (no encoding work) that
-    // tracks the encoded size closely for the float-dominated payloads
-    // that matter; a slightly-off hint costs at most one reallocation.
+    // `byte_size` is a cheap in-memory estimate (no encoding work). It is
+    // close to the encoded size for float-dominated payloads but up to
+    // ≈ 5× above it for text (a `String` header per cell); an oversized
+    // hint only reserves address space, an undersized one costs at most
+    // one reallocation.
     use helix_data::ByteSized;
     let hint = (value.byte_size() as usize).saturating_add(64);
     let mut w = Writer { buf: frame::begin_frame(FrameKind::Artifact, hint) };
-    w.put_u8(value.kind().to_byte());
-    match value {
-        Value::Collection(DataCollection::Records(b)) => put_records(&mut w, b),
-        Value::Collection(DataCollection::Units(b)) => put_units(&mut w, b),
-        Value::Collection(DataCollection::Examples(b)) => put_examples(&mut w, b),
-        Value::Model(m) => put_model(&mut w, m),
-        Value::Scalar(s) => put_scalar(&mut w, s),
-    }
+    put_value(&mut w, value);
     frame::seal_frame(w.into_bytes(), frame::GENESIS_HASH)
+}
+
+/// `encode_value(value).len()`, computed without encoding: the same field
+/// writers run over a length-only sink, so nothing is allocated and the
+/// two cannot disagree. This is the size an artifact will occupy — the
+/// bytes its load is priced on.
+pub fn encoded_len(value: &Value) -> u64 {
+    let mut counter = Counter::default();
+    put_value(&mut counter, value);
+    (frame::MIN_FRAME_LEN as u64) + counter.len
 }
 
 /// Decode a frame produced by [`encode_value`], verifying — in this
@@ -746,7 +813,9 @@ mod tests {
     }
 
     fn roundtrip(v: &Value) -> Value {
-        decode_value(&encode_value(v)).expect("roundtrip")
+        let bytes = encode_value(v);
+        assert_eq!(encoded_len(v), bytes.len() as u64, "encoded_len must equal encode_value");
+        decode_value(&bytes).expect("roundtrip")
     }
 
     #[test]
@@ -996,6 +1065,20 @@ mod tests {
             assert_eq!(r.get_varint().unwrap(), v);
         }
         assert!(r.finished());
+        // The length-only sink counts the same bytes.
+        for (v, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX as u64, 5),
+            (u64::MAX, 10),
+        ] {
+            let mut c = Counter::default();
+            c.put_varint(v);
+            assert_eq!(c.len, len, "varint length of {v}");
+        }
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub mod journal;
 pub use catalog::{
     CatalogEntry, EvictionKind, EvictionRecord, MaterializationCatalog, RecoveryStats, SweepFailure,
 };
-pub use codec::{decode_value, encode_value};
+pub use codec::{decode_value, encode_value, encoded_len};
 pub use disk::DiskProfile;
 pub use frame::{FrameError, FrameKind};

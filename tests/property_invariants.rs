@@ -12,7 +12,7 @@ use helix_data::{
 };
 use helix_flow::oep::{NodeCosts, OepProblem};
 use helix_flow::{Dag, NodeId};
-use helix_storage::{decode_value, encode_value};
+use helix_storage::{decode_value, encode_value, encoded_len};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -80,7 +80,9 @@ proptest! {
     /// Any record batch survives an encode/decode round trip bit-exactly.
     #[test]
     fn codec_roundtrips_records(value in arb_records()) {
-        let decoded = decode_value(&encode_value(&value)).unwrap();
+        let bytes = encode_value(&value);
+        prop_assert_eq!(encoded_len(&value), bytes.len() as u64);
+        let decoded = decode_value(&bytes).unwrap();
         let (a, b) = (value.as_collection().unwrap(), decoded.as_collection().unwrap());
         prop_assert_eq!(a.as_records().unwrap(), b.as_records().unwrap());
     }
@@ -88,7 +90,9 @@ proptest! {
     /// Any example batch survives a round trip.
     #[test]
     fn codec_roundtrips_examples(value in arb_examples()) {
-        let decoded = decode_value(&encode_value(&value)).unwrap();
+        let bytes = encode_value(&value);
+        prop_assert_eq!(encoded_len(&value), bytes.len() as u64);
+        let decoded = decode_value(&bytes).unwrap();
         let a = value.as_collection().unwrap().as_examples().unwrap().examples.clone();
         let b = decoded.as_collection().unwrap().as_examples().unwrap().examples.clone();
         prop_assert_eq!(a, b);
@@ -102,7 +106,9 @@ proptest! {
         let value = Value::Scalar(Scalar::Metrics(
             metrics.into_iter().collect(),
         ));
-        let decoded = decode_value(&encode_value(&value)).unwrap();
+        let bytes = encode_value(&value);
+        prop_assert_eq!(encoded_len(&value), bytes.len() as u64);
+        let decoded = decode_value(&bytes).unwrap();
         prop_assert_eq!(value.as_scalar().unwrap(), decoded.as_scalar().unwrap());
     }
 
