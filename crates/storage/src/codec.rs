@@ -33,10 +33,6 @@ use std::sync::Arc;
 /// the two primitives, so [`encoded_len`] cannot drift from
 /// [`encode_value`].
 trait Sink {
-    /// Whether byte *order* matters. A length-only sink lets map-valued
-    /// fields skip the sort that makes artifacts byte-stable.
-    const ORDERED: bool;
-
     fn put_u8(&mut self, v: u8);
 
     fn put_raw(&mut self, b: &[u8]);
@@ -132,8 +128,6 @@ impl Writer {
 }
 
 impl Sink for Writer {
-    const ORDERED: bool = true;
-
     fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -154,8 +148,6 @@ struct Counter {
 }
 
 impl Sink for Counter {
-    const ORDERED: bool = false;
-
     fn put_u8(&mut self, _v: u8) {
         self.len += 1;
     }
@@ -519,20 +511,14 @@ fn get_examples(r: &mut Reader) -> Result<ExampleBatch> {
     Ok(ExampleBatch::new(space, examples))
 }
 
-/// A `token → row` map, sorted by token so artifacts are byte-stable
-/// (a [`Counter`] skips the sort: order does not change the length).
+/// A `token → row` map, sorted by token so artifacts are byte-stable.
 fn put_vocab<S: Sink>(w: &mut S, vocab: &HashMap<String, u32>) {
     w.put_varint(vocab.len() as u64);
-    let mut put = |token: &str, row: u32| {
+    let mut entries: Vec<(&String, &u32)> = vocab.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (token, row) in entries {
         w.put_str(token);
-        w.put_varint(row as u64);
-    };
-    if S::ORDERED {
-        let mut entries: Vec<(&String, &u32)> = vocab.iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        entries.into_iter().for_each(|(token, row)| put(token, *row));
-    } else {
-        vocab.iter().for_each(|(token, row)| put(token, *row));
+        w.put_varint(*row as u64);
     }
 }
 
@@ -739,9 +725,9 @@ pub fn encode_value(value: &Value) -> Vec<u8> {
 }
 
 /// `encode_value(value).len()`, computed without encoding: the same field
-/// writers run over a length-only sink, so nothing is allocated and the
-/// two cannot disagree. This is the size an artifact will occupy — the
-/// bytes its load is priced on.
+/// writers run over a length-only sink, so no output buffer is built and
+/// the two cannot disagree. This is the size an artifact will occupy —
+/// the bytes its load is priced on.
 pub fn encoded_len(value: &Value) -> u64 {
     let mut counter = Counter::default();
     put_value(&mut counter, value);
