@@ -104,7 +104,7 @@ impl Operator for Learner {
                     seed: ctx.seed(),
                     ..Default::default()
                 };
-                Model::Linear(trainer.fit(&batch.examples, dim)?)
+                Model::Linear(trainer.fit(&ctx.pool, &batch.examples, dim)?)
             }
             Algo::KMeans { k } => {
                 let batch = input.as_collection()?.as_examples()?;

@@ -27,6 +27,11 @@
 //! * [`linalg`] — the small shared numeric kernels.
 //!
 //! Every algorithm takes an explicit seed and is deterministic given it.
+//!
+//! Beyond `helix-common` and `helix-data`, the crate depends on
+//! `helix-exec` for its [`WorkerPool`](helix_exec::WorkerPool):
+//! [`LogisticRegression::fit`] trains one-vs-rest heads on the caller's
+//! pool, with a model that is bit-identical at any pool width.
 
 pub mod kmeans;
 pub mod linalg;

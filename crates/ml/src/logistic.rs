@@ -7,10 +7,18 @@
 //!
 //! Training is deterministic given the seed: examples are shuffled with a
 //! `SplitMix64` stream per epoch.
+//!
+//! One-vs-rest heads are independent, so [`LogisticRegression::fit`]
+//! splits them into contiguous groups, one per pool worker, and trains the
+//! groups on [`WorkerPool::map`]. Each group replays the same seeded
+//! shuffle and applies exactly the serial update sequence to its heads, so
+//! the model is bit-identical at any pool width and any core grant.
 
 use crate::linalg::sigmoid;
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::{Example, FeatureVector, LinearModel, Split};
+use helix_exec::WorkerPool;
+use std::ops::Range;
 
 /// Logistic-regression trainer configuration.
 #[derive(Clone, Debug)]
@@ -38,8 +46,11 @@ impl LogisticRegression {
     }
 
     /// Fit on the `Train` split of `examples`. Labels must be integers in
-    /// `0..k`; `k = 2` yields a single-score binary model.
-    pub fn fit(&self, examples: &[Example], dim: usize) -> Result<LinearModel> {
+    /// `0..k`; `k = 2` yields a single-score binary model, trained inline.
+    /// A multiclass model trains its one-vs-rest heads in `pool.workers()`
+    /// contiguous groups over `pool.map`; the result does not depend on
+    /// the pool width or on how many threads a budgeted pool is granted.
+    pub fn fit(&self, pool: &WorkerPool, examples: &[Example], dim: usize) -> Result<LinearModel> {
         let train: Vec<&Example> =
             examples.iter().filter(|e| e.split == Split::Train && e.label.is_some()).collect();
         if train.is_empty() {
@@ -52,22 +63,43 @@ impl LogisticRegression {
             return Err(HelixError::ml(format!("implausible class count {classes}")));
         }
         let heads = if classes == 2 { 1 } else { classes };
-        let mut weights = vec![vec![0.0f64; dim]; heads];
-        let mut bias = vec![0.0f64; heads];
+        let groups = pool.workers().min(heads);
+        let ranges: Vec<Range<usize>> =
+            (0..groups).map(|g| g * heads / groups..(g + 1) * heads / groups).collect();
+        let trained =
+            pool.map(&ranges, |range| self.train_heads(&train, range.clone(), heads == 1, dim));
+        let (weights, bias) = trained.into_iter().flatten().unzip();
+        Ok(LinearModel { weights, bias, dim: dim as u32 })
+    }
+
+    /// Train heads `range` with the serial SGD schedule: the same seeded
+    /// shuffle every group replays, and per example, each head in turn.
+    ///
+    /// The L2 shrink is an eager pass over all `dim` weights per example
+    /// per head — O(dim), not O(nnz), even for sparse features. For dense
+    /// features it is fused into the gradient step as
+    /// `w = w * decay + x * scale` (the same two roundings in the same
+    /// order as a decay pass followed by `add_scaled_to`), with any tail
+    /// past the feature vector decayed alone.
+    fn train_heads(
+        &self,
+        train: &[&Example],
+        range: Range<usize>,
+        binary: bool,
+        dim: usize,
+    ) -> Vec<(Vec<f64>, f64)> {
+        let mut heads: Vec<(Vec<f64>, f64)> = vec![(vec![0.0; dim], 0.0); range.len()];
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut rng = SplitMix64::new(self.seed);
-
         for epoch in 0..self.epochs {
             rng.shuffle(&mut order);
             let lr = self.learning_rate / (1.0 + epoch as f64);
-            // L2 shrink applied once per example via scaled decay keeps the
-            // update sparse-friendly (decay factor folded into the update).
             let decay = 1.0 - lr * self.l2 / train.len() as f64;
             for &i in &order {
                 let example = train[i];
                 let label = example.label.unwrap_or(0.0);
-                for (h, (w, b)) in weights.iter_mut().zip(bias.iter_mut()).enumerate() {
-                    let target = if heads == 1 {
+                for (h, (w, b)) in range.clone().zip(heads.iter_mut()) {
+                    let target = if binary {
                         label
                     } else if (label as usize) == h {
                         1.0
@@ -76,17 +108,29 @@ impl LogisticRegression {
                     };
                     let z = example.features.dot_dense(w) + *b;
                     let gradient = sigmoid(z) - target;
+                    let scale = -lr * gradient;
                     if decay < 1.0 {
-                        for x in w.iter_mut() {
-                            *x *= decay;
+                        if let FeatureVector::Dense(v) = &example.features {
+                            for (wj, x) in w.iter_mut().zip(v) {
+                                *wj = *wj * decay + x * scale;
+                            }
+                            for wj in w.iter_mut().skip(v.len()) {
+                                *wj *= decay;
+                            }
+                        } else {
+                            for wj in w.iter_mut() {
+                                *wj *= decay;
+                            }
+                            example.features.add_scaled_to(w, scale);
                         }
+                    } else {
+                        example.features.add_scaled_to(w, scale);
                     }
-                    example.features.add_scaled_to(w, -lr * gradient);
                     *b -= lr * gradient;
                 }
             }
         }
-        Ok(LinearModel { weights, bias, dim: dim as u32 })
+        heads
     }
 
     /// Predicted probability (binary) or class scores (multiclass) for one
@@ -154,7 +198,7 @@ mod tests {
     #[test]
     fn separable_binary_problem_learned() {
         let data = blobs(400, 7);
-        let model = LogisticRegression::default().fit(&data, 2).unwrap();
+        let model = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
         assert_eq!(model.classes(), 1);
         let mut correct = 0;
         let mut total = 0;
@@ -184,7 +228,7 @@ mod tests {
                 if i % 4 == 0 { Split::Test } else { Split::Train },
             ));
         }
-        let model = LogisticRegression::default().fit(&data, 2).unwrap();
+        let model = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
         assert_eq!(model.classes(), 3);
         let mut correct = 0;
         let mut total = 0;
@@ -209,7 +253,7 @@ mod tests {
                 Split::Train,
             ));
         }
-        let model = LogisticRegression::default().fit(&data, 4).unwrap();
+        let model = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 4).unwrap();
         let pos = LogisticRegression::scores(
             &model,
             &FeatureVector::sparse_from_pairs(4, vec![(0, 1.0)]),
@@ -225,8 +269,12 @@ mod tests {
     #[test]
     fn regularization_shrinks_weights() {
         let data = blobs(200, 11);
-        let loose = LogisticRegression { l2: 0.0, ..Default::default() }.fit(&data, 2).unwrap();
-        let tight = LogisticRegression { l2: 50.0, ..Default::default() }.fit(&data, 2).unwrap();
+        let loose = LogisticRegression { l2: 0.0, ..Default::default() }
+            .fit(&WorkerPool::serial(), &data, 2)
+            .unwrap();
+        let tight = LogisticRegression { l2: 50.0, ..Default::default() }
+            .fit(&WorkerPool::serial(), &data, 2)
+            .unwrap();
         let norm = |m: &LinearModel| m.weights[0].iter().map(|w| w * w).sum::<f64>().sqrt();
         assert!(norm(&tight) < norm(&loose), "l2 must shrink weights");
     }
@@ -234,24 +282,129 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = blobs(100, 5);
-        let a = LogisticRegression::default().fit(&data, 2).unwrap();
-        let b = LogisticRegression::default().fit(&data, 2).unwrap();
+        let a = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
+        let b = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
         assert_eq!(a, b);
-        let c = LogisticRegression { seed: 99, ..Default::default() }.fit(&data, 2).unwrap();
+        let c = LogisticRegression { seed: 99, ..Default::default() }
+            .fit(&WorkerPool::serial(), &data, 2)
+            .unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn no_training_data_is_an_error() {
         let data = vec![example(vec![1.0], 1.0, Split::Test)];
-        assert!(LogisticRegression::default().fit(&data, 1).is_err());
+        assert!(LogisticRegression::default().fit(&WorkerPool::serial(), &data, 1).is_err());
     }
 
     #[test]
     fn predict_all_fills_predictions() {
         let mut data = blobs(50, 2);
-        let model = LogisticRegression::default().fit(&data, 2).unwrap();
+        let model = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
         LogisticRegression::predict_all(&model, &mut data);
         assert!(data.iter().all(|e| e.prediction.is_some()));
+    }
+
+    /// The specification of [`LogisticRegression::fit`]: every head on one
+    /// thread, one shared shuffle, a separate decay pass per update.
+    fn reference_fit(lr: &LogisticRegression, examples: &[Example], dim: usize) -> LinearModel {
+        let train: Vec<&Example> =
+            examples.iter().filter(|e| e.split == Split::Train && e.label.is_some()).collect();
+        let classes = train.iter().map(|e| e.label.unwrap_or(0.0) as i64).max().unwrap_or(0).max(1)
+            as usize
+            + 1;
+        let heads = if classes == 2 { 1 } else { classes };
+        let mut weights = vec![vec![0.0f64; dim]; heads];
+        let mut bias = vec![0.0f64; heads];
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        let mut rng = SplitMix64::new(lr.seed);
+        for epoch in 0..lr.epochs {
+            rng.shuffle(&mut order);
+            let rate = lr.learning_rate / (1.0 + epoch as f64);
+            let decay = 1.0 - rate * lr.l2 / train.len() as f64;
+            for &i in &order {
+                let example = train[i];
+                let label = example.label.unwrap_or(0.0);
+                for (h, (w, b)) in weights.iter_mut().zip(bias.iter_mut()).enumerate() {
+                    let target = if heads == 1 {
+                        label
+                    } else if (label as usize) == h {
+                        1.0
+                    } else {
+                        0.0
+                    };
+                    let z = example.features.dot_dense(w) + *b;
+                    let gradient = sigmoid(z) - target;
+                    if decay < 1.0 {
+                        for x in w.iter_mut() {
+                            *x *= decay;
+                        }
+                    }
+                    example.features.add_scaled_to(w, -rate * gradient);
+                    *b -= rate * gradient;
+                }
+            }
+        }
+        LinearModel { weights, bias, dim: dim as u32 }
+    }
+
+    fn bits(model: &LinearModel) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let weights = model.weights.iter().map(|w| w.iter().map(|x| x.to_bits()).collect());
+        (weights.collect(), model.bias.iter().map(|b| b.to_bits()).collect())
+    }
+
+    /// `n` labeled examples over `classes` labels, four ones each in a
+    /// sparse space of `dim`.
+    fn sparse(n: usize, classes: usize, dim: u32) -> Vec<Example> {
+        let mut rng = SplitMix64::new(classes as u64);
+        let pairs = |rng: &mut SplitMix64| -> Vec<(u32, f64)> {
+            (0..4).map(|_| (rng.next_below(dim as u64) as u32, 1.0)).collect()
+        };
+        let rows = (0..n).map(|_| FeatureVector::sparse_from_pairs(dim, pairs(&mut rng)));
+        with_labels(rows.collect(), classes)
+    }
+
+    /// `n` labeled examples over `classes` labels; example `i` is dense
+    /// with length `lens[i % lens.len()]`.
+    fn dense(n: usize, classes: usize, lens: &[usize]) -> Vec<Example> {
+        let mut rng = SplitMix64::new(classes as u64);
+        let rows = (0..n).map(|i| {
+            let len = lens[i % lens.len()];
+            let x = (0..len).map(|j| ((i + j) % classes) as f64 * 0.3 + rng.next_gaussian());
+            FeatureVector::Dense(x.collect())
+        });
+        with_labels(rows.collect(), classes)
+    }
+
+    fn with_labels(rows: Vec<FeatureVector>, classes: usize) -> Vec<Example> {
+        let split = |i: usize| if i.is_multiple_of(7) { Split::Test } else { Split::Train };
+        let rows = rows.into_iter().enumerate();
+        rows.map(|(i, x)| Example::new(x, Some((i % classes) as f64), split(i))).collect()
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_serial_reference_at_any_pool_width() {
+        let no_l2 = LogisticRegression { l2: 0.0, ..Default::default() };
+        let cases: [(&str, LogisticRegression, Vec<Example>, usize); 5] = [
+            ("binary sparse", LogisticRegression::default(), sparse(120, 2, 12), 12),
+            ("10-class dense", LogisticRegression::default(), dense(200, 10, &[8]), 8),
+            // Vectors shorter than the model: the tail past each one decays
+            // alone, and longer ones make that tail nonzero.
+            ("dense tail", LogisticRegression::default(), dense(90, 5, &[7, 3, 5]), 7),
+            ("l2 = 0 dense", no_l2.clone(), dense(90, 4, &[5]), 5),
+            ("l2 = 0 sparse", no_l2, sparse(90, 3, 9), 9),
+        ];
+        for (name, trainer, data, dim) in &cases {
+            let want = bits(&reference_fit(trainer, data, *dim));
+            for width in [1, 2, 3, 4, 16] {
+                let got = trainer.fit(&WorkerPool::new(width), data, *dim).unwrap();
+                assert_eq!(bits(&got), want, "{name} at pool width {width}");
+            }
+            // A budgeted pool granted no extra thread runs the same groups.
+            let budget = std::sync::Arc::new(helix_exec::CoreBudget::new(1));
+            let _held = budget.acquire_one();
+            let starved = WorkerPool::budgeted(4, std::sync::Arc::clone(&budget));
+            assert_eq!(bits(&trainer.fit(&starved, data, *dim).unwrap()), want, "{name} starved");
+        }
     }
 }

@@ -101,13 +101,13 @@ fn sklearn_model_selection_maps_to_reduce_over_learning() {
     let mut session = Session::new(SessionConfig::in_memory()).unwrap();
     let mut wf = Workflow::new("selection");
     let data = blob_source(&mut wf);
-    let best = wf.reduce("best_l2", data, 1, |v, _ctx| {
+    let best = wf.reduce("best_l2", data, 1, |v, ctx| {
         let batch = v.as_collection()?.as_examples()?;
         let dim = 2;
         let mut best = (f64::NEG_INFINITY, 0.0f64);
         for l2 in [0.01, 0.1, 1.0] {
             let trainer = helix_ml::LogisticRegression { l2, epochs: 5, ..Default::default() };
-            let model = trainer.fit(&batch.examples, dim)?;
+            let model = trainer.fit(&ctx.pool, &batch.examples, dim)?;
             let pairs: Vec<(f64, f64)> = batch
                 .examples
                 .iter()
