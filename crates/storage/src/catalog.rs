@@ -700,11 +700,23 @@ impl MaterializationCatalog {
 
         // Position the journal writer: resume the scanned chain (torn
         // tail truncated by `append_to`) when the prefix was healthy and
-        // short enough, otherwise rewrite one fresh snapshot frame.
+        // short enough, otherwise write one fresh snapshot frame.
         let threshold = 4 * inner.entries.len() as u64 + Self::COMPACT_SLACK;
         let writer = match &scan {
             Some(scan) if !needs_rewrite && scan.frames <= threshold => {
                 JournalWriter::append_to(&journal_path, scan)?
+            }
+            // A fresh directory: no journal, nothing recovered, no
+            // entries. Its empty snapshot is written in place, without the
+            // temp + fsync + rename: a lost or torn first frame reopens as
+            // the same empty catalog, and the next commit's `sync_data`
+            // on this file flushes the snapshot too.
+            None if !stats.recovered && inner.entries.is_empty() => {
+                stats.journal_rewritten = true;
+                let payload = Self::snapshot_payload(&inner)?;
+                let mut writer = JournalWriter::create(&journal_path)?;
+                writer.append(FrameKind::Snapshot, &payload)?;
+                writer
             }
             _ => {
                 stats.journal_rewritten = true;
@@ -2328,6 +2340,35 @@ mod tests {
         let again = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
         assert!(again.contains(kept));
         assert!(!again.recovery_stats().recovered, "second reopen is healthy");
+    }
+
+    #[test]
+    fn fresh_snapshot_written_in_place_reopens_empty_at_any_cut() {
+        let cat = temp_catalog();
+        let root = cat.root().to_path_buf();
+        assert!(!cat.recovery_stats().recovered);
+        drop(cat);
+        let journal = root.join("catalog.journal");
+        let snapshot = std::fs::read(&journal).unwrap();
+        assert!(!snapshot.is_empty(), "the fresh snapshot frame landed");
+        for cut in 0..=snapshot.len() {
+            std::fs::write(&journal, &snapshot[..cut]).unwrap();
+            let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+            assert!(reopened.entries().is_empty(), "cut {cut}");
+            let stats = reopened.recovery_stats();
+            let torn = if cut < snapshot.len() { cut as u64 } else { 0 };
+            assert_eq!(stats.journal_tail_bytes, torn, "cut {cut}");
+            assert_eq!(stats.recovered, torn > 0, "cut {cut}");
+            assert_eq!(stats.journal_stop.is_some(), torn > 0, "cut {cut}");
+            assert_eq!(stats.journal_rewritten, torn > 0, "cut {cut}");
+            let whole = u64::from(cut == snapshot.len());
+            assert_eq!(stats.journal_frames_replayed, whole, "cut {cut}");
+        }
+        // A journal that never reached the disk reopens as a fresh directory.
+        std::fs::remove_file(&journal).unwrap();
+        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+        assert!(reopened.entries().is_empty());
+        assert!(!reopened.recovery_stats().recovered);
     }
 
     #[test]
