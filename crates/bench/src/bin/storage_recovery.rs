@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Scenarios: a clean reopen, a torn journal tail (crash mid-append), a
-//! mid-journal bit flip (rot inside the chain), a lost journal with the
-//! format marker intact (salvage-by-scan), and stranded temp files. Each
+//! mid-journal bit flip (rot inside the chain), a lost journal whose
+//! artifacts' frame headers name the current format (salvage-by-scan),
+//! and stranded temp files. Each
 //! scenario records the full [`RecoveryStats`] plus open latency;
 //! `--json PATH` also writes them as JSON (CI uploads that as an artifact).
 //! `--check` exits non-zero unless every scenario recovers to a clean,

@@ -22,8 +22,8 @@
 //!   Algorithm-2 decision still sees serial-identical budget/catalog
 //!   state, in the engine's deterministic finalize order) while the
 //!   throttled file writes drain on a background thread, across iteration
-//!   boundaries. The writer seals each drained batch with one manifest
-//!   commit; the manifest never references a non-durable file, so a crash
+//!   boundaries. The writer seals each drained batch with one journal
+//!   commit; the journal never references a non-durable file, so a crash
 //!   mid-write recovers to a consistent catalog.
 //! * **Load lane** ([`Prefetcher`]) — every plan-time-claimed `Load` is
 //!   fetched concurrently from iteration start instead of lazily when the
@@ -99,7 +99,7 @@ enum LazyThread {
 /// entry visible, loadable, and quota-charged; this lane only turns it
 /// durable. Writes may drain *across* iteration boundaries — the next
 /// iteration's planner and loads work fine against staged entries — and
-/// the manifest is committed on every idle edge, never referencing an
+/// the journal is committed on every idle edge, never referencing an
 /// un-landed file.
 pub struct BackgroundWriter {
     shared: Arc<WriterShared>,
@@ -174,7 +174,7 @@ impl BackgroundWriter {
     }
 
     /// Block until every enqueued write has landed, then seal them with a
-    /// manifest commit. Returns the first write error observed since the
+    /// journal commit. Returns the first write error observed since the
     /// last sync (serial `store_owned` would have failed the iteration at
     /// that node; the background lane surfaces it at the next barrier).
     pub fn sync(&self) -> helix_common::Result<()> {

@@ -640,7 +640,7 @@ impl Session {
     }
 
     /// Block until every background materialization write has landed and
-    /// the manifest is sealed. Call before comparing or reopening the
+    /// the journal is sealed. Call before comparing or reopening the
     /// catalog directory; iteration *results* never require it.
     pub fn sync(&self) -> Result<()> {
         match &self.writer {

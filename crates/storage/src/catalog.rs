@@ -77,20 +77,23 @@
 //! orphan that cannot be deleted stays visible as `stranded_bytes`
 //! instead of silently consuming disk forever. The journal is compacted
 //! to a single `Snapshot` frame when it grows well past the live entry
-//! count (and on every recovery/migration), so scans stay bounded.
+//! count (and on every recovery that repairs it), so scans stay bounded.
+//! Open writes only what a repair needs: a fresh directory gets its
+//! journal from its first commit.
 //!
 //! ## Format versioning
 //!
-//! Frames carry the format version
-//! ([`MaterializationCatalog::FORMAT_VERSION`], mirrored by
-//! [`crate::frame::FORMAT_VERSION`]) naming the signature keying scheme
-//! entries were written under. Opening a catalog from a *newer* format
-//! fails with a clear error (reading it anyway would misinterpret the
-//! keying); opening one from an *older* format — a pre-journal
-//! `manifest.json` catalog (v1/v2) — migrates by invalidation: entries
-//! dropped, artifact files and manifest swept, no panic. Artifacts are
-//! recomputable by definition (the paper's premise), so invalidation
-//! costs recomputation, never correctness.
+//! Every frame header — journal records and `.hxm` artifacts alike —
+//! carries the format version ([`MaterializationCatalog::FORMAT_VERSION`],
+//! defined from [`crate::frame::FORMAT_VERSION`]) naming the signature
+//! keying scheme and durable layout its bytes were written under. A
+//! journal, snapshot, or (with the journal lost) artifact from a *newer*
+//! format fails the open with a clear error and deletes nothing (reading
+//! it anyway would misinterpret the keying). With the journal lost,
+//! artifacts that are not current-format frames — pre-journal `HXM1`
+//! files, garbage, short files — stay unreferenced and are swept.
+//! Artifacts are recomputable by definition (the paper's premise), so
+//! invalidation costs recomputation, never correctness.
 //!
 //! ## Staged (deferred) commits
 //!
@@ -115,7 +118,7 @@
 
 use crate::codec::{decode_value, encode_value};
 use crate::disk::DiskProfile;
-use crate::frame::FrameKind;
+use crate::frame::{self, FrameError, FrameKind};
 use crate::journal::{self, JournalWriter, ScanStop};
 use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
@@ -123,7 +126,8 @@ use helix_common::{HelixError, Result, RingLog};
 use helix_data::Value;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -271,18 +275,6 @@ impl OwnerStats {
     }
 }
 
-/// The pre-journal (format ≤ 2) `manifest.json` layout. Read only to
-/// recognize a legacy catalog and migrate it by invalidation; never
-/// written.
-#[derive(Default, Serialize, Deserialize)]
-struct LegacyManifest {
-    /// Keying-scheme version of every signature in `entries`. `None`
-    /// (the field predates versioning) means format 1: signatures
-    /// computed *without* execution-environment provenance.
-    format_version: Option<u32>,
-    entries: Vec<CatalogEntry>,
-}
-
 /// Payload of a [`FrameKind::Snapshot`] journal frame: the full entry
 /// set at a compaction point, plus the keying-format version the chain
 /// was written under (the chain's first frame is always a snapshot, so
@@ -318,11 +310,13 @@ pub struct RecoveryStats {
     /// Whether open had to repair anything at all (torn tail, damaged
     /// frames, dropped entries, migration, or salvage).
     pub recovered: bool,
-    /// Set when a pre-journal catalog was migrated by invalidation; the
-    /// old format version.
+    /// Set when data from an older format was invalidated: the journal
+    /// snapshot's version, or 1 for artifact files found without a
+    /// journal that are not current-format frames (pre-journal `HXM1`
+    /// files record no version).
     pub migrated_from: Option<u32>,
-    /// Entries were rebuilt by scanning artifact files (journal absent
-    /// but the marker proves current-format keying).
+    /// Entries were rebuilt by scanning artifact files (journal absent;
+    /// each file's frame header names the current format).
     pub salvaged_by_scan: bool,
     /// Frames replayed from the journal's valid prefix.
     pub journal_frames_replayed: u64,
@@ -332,8 +326,8 @@ pub struct RecoveryStats {
     pub journal_stop: Option<String>,
     /// Replayed entries dropped because their backing file is missing.
     pub entries_dropped_missing_file: u64,
-    /// Crash leftovers (temps, unreferenced artifacts, legacy manifests)
-    /// deleted by the sweep.
+    /// Crash leftovers (temps, unreferenced artifacts) deleted by the
+    /// sweep.
     pub swept_files: u64,
     /// Bytes those deletions freed.
     pub swept_bytes: u64,
@@ -345,8 +339,7 @@ pub struct RecoveryStats {
     /// (reconciliation scan).
     pub disk_bytes_after_open: u64,
     /// Bytes accounted by live entries after recovery. The difference
-    /// from `disk_bytes_after_open` is journal + marker + stranded
-    /// bytes.
+    /// from `disk_bytes_after_open` is journal + stranded bytes.
     pub accounted_bytes_after_open: u64,
     /// The journal was rewritten (compacted to one snapshot) at open.
     pub journal_rewritten: bool,
@@ -448,32 +441,25 @@ pub struct MaterializationCatalog {
     root: PathBuf,
     disk: DiskProfile,
     inner: Mutex<Inner>,
-    /// The append-only durable log. Holding this lock across
+    /// The append-only durable log; `None` until the first commit when
+    /// open found nothing to record. Holding this lock across
     /// snapshot-read + append also guarantees a slower committer can
     /// never write an older state after a newer one.
-    journal: Mutex<JournalWriter>,
+    journal: Mutex<Option<JournalWriter>>,
     /// What `open` found and repaired (immutable after open).
     recovery: RecoveryStats,
 }
 
 impl MaterializationCatalog {
-    /// Pre-journal manifest names (format ≤ 2) — read for migration,
-    /// swept afterwards.
-    const LEGACY_MANIFEST: &'static str = "manifest.json";
-    const LEGACY_MANIFEST_TMP: &'static str = "manifest.json.tmp";
     /// The journal file name.
     const JOURNAL: &'static str = "catalog.journal";
-    /// Standalone keying-format marker written next to the journal; the
-    /// recovery paths consult it when no journal exists (artifact files
-    /// carry no keying version of their own).
-    const MARKER: &'static str = "format.version";
-    /// The catalog format this build reads and writes. Bump whenever the
-    /// signature keying scheme OR the durable layout changes meaning
-    /// (v2: execution-environment provenance — seeds — folded into chain
-    /// signatures; v3: the hash-chained journal replaced the JSON
-    /// manifest). Mirrored by the frame-format version
-    /// ([`crate::frame::FORMAT_VERSION`]).
-    pub const FORMAT_VERSION: u32 = 3;
+    /// The catalog format this build reads and writes: the frame-format
+    /// version ([`crate::frame::FORMAT_VERSION`]) every frame header
+    /// carries. Bump that whenever the signature keying scheme OR the
+    /// durable layout changes meaning (v2: execution-environment
+    /// provenance — seeds — folded into chain signatures; v3: the
+    /// hash-chained journal replaced the JSON manifest).
+    pub const FORMAT_VERSION: u32 = frame::FORMAT_VERSION as u32;
     /// Compact the journal once it carries more than
     /// `4 × live entries + 64` frames: scans stay O(catalog), while
     /// steady-state commits stay O(entry).
@@ -482,45 +468,44 @@ impl MaterializationCatalog {
     /// Open (or create) a catalog rooted at `root`, replaying the journal
     /// so previous sessions' artifacts are reusable.
     ///
-    /// Recovery is deterministic (module docs): scan the journal, replay
-    /// the longest CRC- and chain-valid prefix, drop entries whose
-    /// backing artifact file is missing, sweep crash leftovers (recording
-    /// failures, not swallowing them), and report everything in
-    /// [`RecoveryStats`]. A pre-journal (`manifest.json`) catalog is
-    /// migrated by invalidation; artifact files found with a
-    /// current-format marker but no journal are salvaged by scan.
+    /// Recovery is deterministic (module docs): list the directory once,
+    /// scan the journal, replay the longest CRC- and chain-valid prefix,
+    /// drop entries whose backing artifact file is missing, sweep crash
+    /// leftovers (recording failures, not swallowing them), and report
+    /// everything in [`RecoveryStats`]. With no journal, artifact files
+    /// are classified by their frame headers: current-format frames are
+    /// salvaged by scan, a newer format refuses the open, anything else
+    /// is swept. Open writes only what a repair needs; a fresh
+    /// directory's journal is created by its first commit.
     pub fn open(root: impl Into<PathBuf>, disk: DiskProfile) -> Result<MaterializationCatalog> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         let journal_path = root.join(Self::JOURNAL);
-        let legacy_path = root.join(Self::LEGACY_MANIFEST);
-        let legacy_tmp_path = root.join(Self::LEGACY_MANIFEST_TMP);
         let mut stats = RecoveryStats::default();
 
-        // The standalone marker file names the keying scheme of the
-        // artifact files for recovery paths where no journal survives
-        // (the artifact files themselves are unversioned).
-        let marker_version: Option<u32> = std::fs::read_to_string(root.join(Self::MARKER))
-            .ok()
-            .and_then(|s| s.trim().parse().ok());
-        if marker_version.is_some_and(|v| v > Self::FORMAT_VERSION) {
-            return Err(HelixError::config(format!(
-                "catalog at {} carries format-version marker v{}, newer than this build's v{}; \
-                 refusing to misread it (upgrade helix or use a different catalog directory)",
-                root.display(),
-                marker_version.unwrap_or(0),
-                Self::FORMAT_VERSION,
-            )));
-        }
+        // The one listing every recovery decision reads: file name →
+        // whether it is a regular file. Sorted, so the sweep (and its
+        // stats) are deterministic regardless of `read_dir` order.
+        let listing: BTreeMap<String, bool> = std::fs::read_dir(&root)?
+            .flatten()
+            .map(|dirent| {
+                let regular = dirent.file_type().is_ok_and(|t| t.is_file());
+                (dirent.file_name().to_string_lossy().into_owned(), regular)
+            })
+            .collect();
 
         let replay_begin = helix_obs::now_nanos();
-        let scan = journal::scan_file(&journal_path)?;
+        let scan = if listing.contains_key(Self::JOURNAL) {
+            journal::scan_file(&journal_path)?
+        } else {
+            None
+        };
         let mut entries: HashMap<Signature, CatalogEntry> = HashMap::new();
         // A fresh snapshot is written (instead of appending to the
-        // scanned prefix) whenever the journal is absent, damaged beyond
-        // a clean end, migrated, or salvaged; `maybe-compact` handles the
-        // merely-long case below.
-        let mut needs_rewrite = scan.is_none();
+        // scanned prefix) whenever the journal is damaged beyond a clean
+        // end or migrated, and after a salvage; `maybe-compact` handles
+        // the merely long case below.
+        let mut needs_rewrite = false;
         match &scan {
             Some(scan) => {
                 // A *first* frame from a newer frame format means a newer
@@ -532,13 +517,7 @@ impl MaterializationCatalog {
                 if scan.frames == 0 {
                     if let Some(ScanStop::UnsupportedVersion(v)) = scan.stop {
                         if u32::from(v) > Self::FORMAT_VERSION {
-                            return Err(HelixError::config(format!(
-                                "catalog journal at {} begins with frame-format v{v}, newer \
-                                 than this build's v{}; refusing to misread it (upgrade helix \
-                                 or use a different catalog directory)",
-                                root.display(),
-                                Self::FORMAT_VERSION,
-                            )));
+                            return Err(Self::refuse_newer(&journal_path, u32::from(v)));
                         }
                     }
                 }
@@ -568,13 +547,7 @@ impl MaterializationCatalog {
                 // are recomputable by definition, so invalidation costs
                 // recomputation, never correctness.
                 if version > Self::FORMAT_VERSION {
-                    return Err(HelixError::config(format!(
-                        "catalog at {} uses format v{version}, newer than this build's v{}; \
-                         refusing to misread it (upgrade helix or use a different catalog \
-                         directory)",
-                        root.display(),
-                        Self::FORMAT_VERSION,
-                    )));
+                    return Err(Self::refuse_newer(&journal_path, version));
                 }
                 if version < Self::FORMAT_VERSION {
                     entries.clear();
@@ -584,45 +557,53 @@ impl MaterializationCatalog {
                 }
             }
             None => {
-                // No journal. Either a pre-journal catalog (a legacy JSON
-                // manifest names its format), a crashed current-format
-                // directory (marker present, artifacts only), or a fresh
-                // directory.
-                let legacy = Self::read_legacy_manifest(&legacy_path)
-                    .or_else(|| Self::read_legacy_manifest(&legacy_tmp_path));
-                let legacy_present = legacy_path.exists() || legacy_tmp_path.exists();
-                if let Some(manifest) = legacy {
-                    // Format ≤ 2 signatures were computed under older
-                    // keying schemes. Migrate by invalidation: entries
-                    // dropped, manifest and artifact files swept below.
-                    stats.migrated_from = Some(manifest.format_version.unwrap_or(1));
-                    stats.recovered = true;
-                } else if legacy_present {
-                    // Unreadable legacy manifest: same migration; the
-                    // version comes from the marker when it survives.
-                    stats.migrated_from = Some(marker_version.unwrap_or(1));
-                    stats.recovered = true;
-                } else if marker_version == Some(Self::FORMAT_VERSION) {
-                    // Current-format directory that lost its journal (a
-                    // crash before the first journal write, or manual
-                    // deletion): salvage the artifact files — sizes and
-                    // signatures (what correctness depends on) live in
-                    // the file names.
-                    for entry in Self::scan_artifacts(&root)? {
-                        let sig = Signature::from_hex(&entry.signature)
-                            .expect("scan_artifacts yields hex-named entries");
-                        entries.insert(sig, entry);
+                // No journal: a fresh directory, a crash before the first
+                // commit, or manual deletion. Every artifact frame names
+                // its format in its header, so classify each hex-named
+                // `.hxm` by it. A current-format frame is salvaged: node
+                // names and iterations are lost, but sizes and signatures
+                // (what correctness depends on) live in the file and its
+                // name, and every load still verifies the CRC. A newer
+                // one refuses the open before anything is deleted.
+                // Anything else (a pre-journal `HXM1` artifact, garbage,
+                // a short file) stays unreferenced and is swept below.
+                for (name, _) in listing.iter().filter(|(_, regular)| **regular) {
+                    let Some(sig) = name.strip_suffix(".hxm").and_then(Signature::from_hex) else {
+                        continue;
+                    };
+                    let path = root.join(name);
+                    let mut file = std::fs::File::open(&path)?;
+                    let mut header = Vec::with_capacity(frame::HEADER_LEN);
+                    (&mut file).take(frame::HEADER_LEN as u64).read_to_end(&mut header)?;
+                    // A whole header whose magic and version check out
+                    // parses as a truncated frame: the payload is unread.
+                    match frame::parse_frame(&header) {
+                        Err(FrameError::Truncated) if header.len() == frame::HEADER_LEN => {
+                            entries.insert(
+                                sig,
+                                CatalogEntry {
+                                    signature: sig.to_hex(),
+                                    file: name.clone(),
+                                    bytes: file.metadata()?.len(),
+                                    node_name: "(recovered)".to_string(),
+                                    created_iteration: 0,
+                                    write_nanos: 0,
+                                    measured_load_nanos: None,
+                                    owners: None,
+                                    writers: None,
+                                },
+                            );
+                        }
+                        Err(FrameError::UnsupportedVersion(v))
+                            if u32::from(v) > Self::FORMAT_VERSION =>
+                        {
+                            return Err(Self::refuse_newer(&path, u32::from(v)));
+                        }
+                        _ => stats.migrated_from = Some(1),
                     }
-                    if !entries.is_empty() {
-                        stats.salvaged_by_scan = true;
-                        stats.recovered = true;
-                    }
-                } else if Self::has_artifacts(&root)? {
-                    // Artifacts with no journal, no manifest, and no
-                    // current marker predate provenance keying: sweeping
-                    // them (recomputable by definition) beats trusting
-                    // them under the wrong scheme.
-                    stats.migrated_from = Some(marker_version.unwrap_or(1));
+                }
+                if !entries.is_empty() {
+                    stats.salvaged_by_scan = true;
                     stats.recovered = true;
                 }
             }
@@ -648,10 +629,10 @@ impl MaterializationCatalog {
             byte_epoch: 0,
         };
         for (sig, entry) in entries {
-            // Only trust entries whose backing file still exists (and is
-            // a regular file — a directory squatting on the name cannot
+            // Only trust entries whose backing file is listed (and is a
+            // regular file — a directory squatting on the name cannot
             // serve loads).
-            if root.join(&entry.file).is_file() {
+            if listing.get(&entry.file) == Some(&true) {
                 inner.total_bytes += entry.bytes;
                 let owners = entry.owners().to_vec();
                 inner.credit(&owners, entry.bytes);
@@ -664,69 +645,46 @@ impl MaterializationCatalog {
         }
 
         // Sweep crash leftovers: temp files of every lane (artifact
-        // writes, journal compactions, legacy manifest flushes), legacy
-        // manifests (migrated or garbage either way), and artifact files
-        // no live entry references — the journal is the sole source of
-        // truth, so an unreferenced artifact is a stage that landed its
-        // file but crashed before its journal frame. Failures are
+        // writes, journal compactions) and artifact files no live entry
+        // references — the journal is the sole source of truth, so an
+        // unreferenced artifact is a stage that landed its file but
+        // crashed before its journal frame (or, with the journal lost, a
+        // file that is not a current-format frame). Failures are
         // recorded, never swallowed: a file that cannot be deleted stays
         // visible as stranded bytes instead of silently consuming disk.
         let referenced: HashSet<&str> = inner.entries.values().map(|e| e.file.as_str()).collect();
-        let mut leftovers: Vec<(PathBuf, String)> = Vec::new();
-        for dirent in std::fs::read_dir(&root)?.flatten() {
-            let name = dirent.file_name().to_string_lossy().into_owned();
-            let leftover = name.contains(".tmp-")
-                || name == Self::LEGACY_MANIFEST
-                || name == Self::LEGACY_MANIFEST_TMP
-                || (name.ends_with(".hxm") && !referenced.contains(name.as_str()));
-            if leftover {
-                leftovers.push((dirent.path(), name));
+        for name in listing.keys() {
+            if name.contains(".tmp-") || (name.ends_with(".hxm") && !referenced.contains(&**name)) {
+                Self::sweep_file(&root.join(name), name, &mut stats);
             }
-        }
-        // Deterministic sweep (and stats) order regardless of read_dir's.
-        leftovers.sort_by(|a, b| a.1.cmp(&b.1));
-        for (path, name) in leftovers {
-            Self::sweep_file(&path, &name, &mut stats);
         }
         if stats.swept_files > 0 || !stats.sweep_failures.is_empty() {
             stats.recovered = true;
         }
 
-        // (Re)write the marker so future recovery paths know which
-        // scheme this directory's artifacts use from here on.
-        if marker_version != Some(Self::FORMAT_VERSION) {
-            std::fs::write(root.join(Self::MARKER), format!("{}\n", Self::FORMAT_VERSION))?;
-        }
-
         // Position the journal writer: resume the scanned chain (torn
         // tail truncated by `append_to`) when the prefix was healthy and
-        // short enough, otherwise write one fresh snapshot frame.
+        // short enough; leave it to the first commit when there is no
+        // journal and nothing to record; otherwise write one fresh
+        // snapshot frame.
         let threshold = 4 * inner.entries.len() as u64 + Self::COMPACT_SLACK;
         let writer = match &scan {
             Some(scan) if !needs_rewrite && scan.frames <= threshold => {
-                JournalWriter::append_to(&journal_path, scan)?
+                Some(JournalWriter::append_to(&journal_path, scan)?)
             }
-            // A fresh directory: no journal, nothing recovered, no
-            // entries. Its empty snapshot is written in place, without the
-            // temp + fsync + rename: a lost or torn first frame reopens as
-            // the same empty catalog, and the next commit's `sync_data`
-            // on this file flushes the snapshot too.
-            None if !stats.recovered && inner.entries.is_empty() => {
-                stats.journal_rewritten = true;
-                let payload = Self::snapshot_payload(&inner)?;
-                let mut writer = JournalWriter::create(&journal_path)?;
-                writer.append(FrameKind::Snapshot, &payload)?;
-                writer
-            }
+            None if inner.entries.is_empty() => None,
             _ => {
                 stats.journal_rewritten = true;
                 let payload = Self::snapshot_payload(&inner)?;
-                JournalWriter::rewrite(&journal_path, [(FrameKind::Snapshot, payload.as_slice())])?
+                Some(JournalWriter::rewrite(
+                    &journal_path,
+                    [(FrameKind::Snapshot, payload.as_slice())],
+                )?)
             }
         };
 
         // Reconciliation: what is physically on disk vs what live
-        // entries account for. The difference is journal + marker (+ any
+        // entries account for. The difference is the journal (+ any
         // stranded bytes) — drift beyond that is observable in CI.
         for dirent in std::fs::read_dir(&root)?.flatten() {
             if let Ok(meta) = dirent.metadata() {
@@ -805,19 +763,15 @@ impl MaterializationCatalog {
         (version, map, replayed, true)
     }
 
-    fn read_legacy_manifest(path: &Path) -> Option<LegacyManifest> {
-        let text = std::fs::read_to_string(path).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
-    /// Whether any `*.hxm` artifact file exists under `root`.
-    fn has_artifacts(root: &Path) -> Result<bool> {
-        for dirent in std::fs::read_dir(root)? {
-            if dirent?.file_name().to_string_lossy().ends_with(".hxm") {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+    /// The refusal for data a newer build wrote: reading it anyway would
+    /// misinterpret its keying, and sweeping it would destroy it.
+    fn refuse_newer(path: &Path, version: u32) -> HelixError {
+        HelixError::config(format!(
+            "{} uses catalog format v{version}, newer than this build's v{}; refusing to \
+             misread it (upgrade helix or use a different catalog directory)",
+            path.display(),
+            Self::FORMAT_VERSION,
+        ))
     }
 
     /// Delete one crash leftover, recording the outcome in `stats`.
@@ -835,40 +789,6 @@ impl MaterializationCatalog {
                 stats.stranded_bytes += bytes;
             }
         }
-    }
-
-    /// Last-resort recovery: rebuild entries from artifact files on disk.
-    /// Node names and iteration numbers are lost; sizes and signatures
-    /// (the parts correctness depends on) are not. The artifact files
-    /// carry no keying-format version of their own — the caller gates the
-    /// scanned entries on the standalone [`MARKER`](Self::MARKER) file,
-    /// sweeping the salvage when the marker is absent or old.
-    fn scan_artifacts(root: &Path) -> Result<Vec<CatalogEntry>> {
-        let mut entries = Vec::new();
-        for dirent in std::fs::read_dir(root)? {
-            let dirent = dirent?;
-            let name = dirent.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_suffix(".hxm") else { continue };
-            if Signature::from_hex(stem).is_none() {
-                continue;
-            }
-            let meta = dirent.metadata()?;
-            if !meta.is_file() {
-                continue;
-            }
-            entries.push(CatalogEntry {
-                signature: stem.to_string(),
-                file: name,
-                bytes: meta.len(),
-                node_name: "(recovered)".to_string(),
-                created_iteration: 0,
-                write_nanos: 0,
-                measured_load_nanos: None,
-                owners: None,
-                writers: None,
-            });
-        }
-        Ok(entries)
     }
 
     /// Open a throwaway catalog in a fresh temp directory (tests, examples).
@@ -1130,7 +1050,8 @@ impl MaterializationCatalog {
     pub fn commit_staged(&self) -> Result<()> {
         self.journal_commit(&[])?;
         let _span = helix_obs::span(helix_obs::layer::STORAGE, "journal.fsync");
-        self.journal.lock().sync()
+        // No journal yet: nothing was ever appended, so nothing to sync.
+        self.journal.lock().as_mut().map_or(Ok(()), JournalWriter::sync)
     }
 
     /// Number of staged entries whose file write has not landed yet.
@@ -1620,12 +1541,12 @@ impl MaterializationCatalog {
         &self.recovery
     }
 
+    /// Unlink an artifact; one that is already gone counts as removed.
     fn remove_file(&self, file: &str) -> Result<()> {
-        let path = self.root.join(file);
-        if path.exists() {
-            std::fs::remove_file(path)?;
+        match std::fs::remove_file(self.root.join(file)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn entry_payload(entry: &CatalogEntry) -> Result<Vec<u8>> {
@@ -1644,6 +1565,10 @@ impl MaterializationCatalog {
             .map(|(_, e)| e.clone())
             .collect();
         entries.sort_by(|a, b| a.signature.cmp(&b.signature));
+        Self::encode_snapshot(entries)
+    }
+
+    fn encode_snapshot(entries: Vec<CatalogEntry>) -> Result<Vec<u8>> {
         serde_json::to_vec(&SnapshotRecord { format_version: Self::FORMAT_VERSION, entries })
             .map_err(|e| HelixError::codec(format!("snapshot serialize error: {e}")))
     }
@@ -1655,7 +1580,9 @@ impl MaterializationCatalog {
     /// never append an older state after a newer one. Entries whose file
     /// write is still pending are skipped (their frame seals at
     /// `complete_stage`). Compacts when the journal has grown well past
-    /// the live entry count.
+    /// the live entry count. The first commit with frames to append
+    /// creates a missing journal, opening it with the empty snapshot
+    /// every chain starts from (open found nothing to record).
     fn journal_commit(&self, ops: &[JournalOp]) -> Result<()> {
         let mut journal = self.journal.lock();
         let (frames, live_entries) = {
@@ -1693,6 +1620,15 @@ impl MaterializationCatalog {
             }
             (frames, inner.entries.len() as u64)
         };
+        if journal.is_none() {
+            if frames.is_empty() {
+                return Ok(());
+            }
+            let mut writer = JournalWriter::create(&self.root.join(Self::JOURNAL))?;
+            writer.append(FrameKind::Snapshot, &Self::encode_snapshot(Vec::new())?)?;
+            *journal = Some(writer);
+        }
+        let journal = journal.as_mut().expect("created above");
         {
             let _span = helix_obs::span(helix_obs::layer::STORAGE, "journal.append")
                 .amount(frames.len() as u64);
@@ -1700,7 +1636,7 @@ impl MaterializationCatalog {
                 journal.append(*kind, payload)?;
             }
         }
-        self.maybe_compact(&mut journal, live_entries)
+        self.maybe_compact(journal, live_entries)
     }
 
     /// Rewrite the journal as one snapshot frame once it carries more
@@ -2343,25 +2279,55 @@ mod tests {
     }
 
     #[test]
-    fn fresh_snapshot_written_in_place_reopens_empty_at_any_cut() {
+    fn fresh_open_writes_nothing_and_the_first_store_opens_the_journal() {
+        let listing = |root: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(root)
+                .unwrap()
+                .map(|d| d.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
         let cat = temp_catalog();
         let root = cat.root().to_path_buf();
+        assert!(listing(&root).is_empty(), "a fresh open creates no file");
         assert!(!cat.recovery_stats().recovered);
         drop(cat);
+        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+        assert!(!reopened.recovery_stats().recovered, "the reopen is fresh again");
+        assert!(listing(&root).is_empty());
+
+        // The first store's commit opens the journal with the same empty
+        // snapshot every chain starts from.
+        let sig = Signature::of_str("first");
+        reopened.store(sig, "n", 0, &scalar(1.0)).unwrap();
+        drop(reopened);
+        let artifact_path = root.join(format!("{}.hxm", sig.to_hex()));
+        let artifact = std::fs::read(&artifact_path).unwrap();
         let journal = root.join("catalog.journal");
-        let snapshot = std::fs::read(&journal).unwrap();
-        assert!(!snapshot.is_empty(), "the fresh snapshot frame landed");
-        for cut in 0..=snapshot.len() {
-            std::fs::write(&journal, &snapshot[..cut]).unwrap();
+        let bytes = std::fs::read(&journal).unwrap();
+        let scan = journal::scan_bytes(&bytes);
+        let kinds: Vec<FrameKind> = scan.records.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, [FrameKind::Snapshot, FrameKind::Upsert]);
+        assert_eq!(scan.records[0].1, br#"{"format_version":3,"entries":[]}"#);
+
+        // Cut anywhere in that opening snapshot frame: the reopen is
+        // empty and the now-unreferenced artifact is swept.
+        let snapshot_end = scan.frame_ends[0] as usize;
+        for cut in 0..=snapshot_end {
+            std::fs::write(&journal, &bytes[..cut]).unwrap();
+            std::fs::write(&artifact_path, &artifact).unwrap();
             let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
             assert!(reopened.entries().is_empty(), "cut {cut}");
+            assert!(!artifact_path.exists(), "cut {cut}: unreferenced artifact swept");
             let stats = reopened.recovery_stats();
-            let torn = if cut < snapshot.len() { cut as u64 } else { 0 };
+            assert!(stats.recovered, "cut {cut}");
+            assert_eq!(stats.swept_files, 1, "cut {cut}");
+            let torn = if cut < snapshot_end { cut as u64 } else { 0 };
             assert_eq!(stats.journal_tail_bytes, torn, "cut {cut}");
-            assert_eq!(stats.recovered, torn > 0, "cut {cut}");
             assert_eq!(stats.journal_stop.is_some(), torn > 0, "cut {cut}");
             assert_eq!(stats.journal_rewritten, torn > 0, "cut {cut}");
-            let whole = u64::from(cut == snapshot.len());
+            let whole = u64::from(cut == snapshot_end);
             assert_eq!(stats.journal_frames_replayed, whole, "cut {cut}");
         }
         // A journal that never reached the disk reopens as a fresh directory.
@@ -2402,38 +2368,65 @@ mod tests {
     }
 
     #[test]
-    fn lost_journal_with_current_marker_salvages_by_artifact_scan() {
-        let cat = temp_catalog();
-        let root = cat.root().to_path_buf();
-        let sig = Signature::of_str("scanned");
-        cat.store(sig, "n", 0, &scalar(3.25)).unwrap();
-        drop(cat);
-        // The journal vanishes (crash before the first journal write, or
-        // manual deletion); the marker proves current-format keying.
-        std::fs::remove_file(root.join("catalog.journal")).unwrap();
+    fn lost_journal_classifies_artifacts_by_frame_header() {
+        enum Expect {
+            Salvaged,
+            Refused,
+            Swept,
+        }
+        let current = encode_value(&scalar(3.25));
+        let mut newer = current.clone();
+        newer[4] = frame::FORMAT_VERSION + 1;
+        let rows = [
+            ("current frame", current, Expect::Salvaged),
+            ("newer frame", newer, Expect::Refused),
+            ("pre-journal HXM1", b"HXM1\x02legacy artifact bytes".to_vec(), Expect::Swept),
+            ("garbage", b"not a frame at all".to_vec(), Expect::Swept),
+            ("3-byte file", b"HXF".to_vec(), Expect::Swept),
+        ];
+        for (what, bytes, expect) in rows {
+            // A catalog that stored one artifact, then lost its journal
+            // (a crash before the first commit, or manual deletion); the
+            // artifact file holds the row's bytes.
+            let cat = temp_catalog();
+            let root = cat.root().to_path_buf();
+            let sig = Signature::of_str(what);
+            cat.store(sig, "n", 0, &scalar(3.25)).unwrap();
+            drop(cat);
+            std::fs::remove_file(root.join("catalog.journal")).unwrap();
+            let file = root.join(format!("{}.hxm", sig.to_hex()));
+            std::fs::write(&file, &bytes).unwrap();
 
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.contains(sig), "artifact scan resurrects the entry");
-        let (value, _) = reopened.load(sig).unwrap();
-        assert_eq!(value.as_scalar().unwrap().as_f64(), Some(3.25));
-        assert_eq!(reopened.entry(sig).unwrap().node_name, "(recovered)");
-        assert!(reopened.recovery_stats().salvaged_by_scan);
-        assert!(reopened.recovery_stats().journal_rewritten);
-    }
-
-    #[test]
-    fn stale_legacy_manifest_tmp_is_swept_and_reported() {
-        let cat = temp_catalog();
-        let root = cat.root().to_path_buf();
-        let sig = Signature::of_str("durable");
-        cat.store(sig, "n", 0, &scalar(7.0)).unwrap();
-        drop(cat);
-        // A leftover from a pre-journal build's interrupted flush.
-        std::fs::write(root.join("manifest.json.tmp"), b"{ \"entries\": [ TRUNC").unwrap();
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.contains(sig), "journal wins");
-        assert!(!root.join("manifest.json.tmp").exists(), "stale temp swept");
-        assert!(reopened.recovery_stats().swept_files >= 1);
+            let opened = MaterializationCatalog::open(&root, DiskProfile::unthrottled());
+            match expect {
+                Expect::Salvaged => {
+                    let cat = opened.unwrap();
+                    let (value, _) = cat.load(sig).unwrap();
+                    assert_eq!(value.as_scalar().unwrap().as_f64(), Some(3.25), "{what}");
+                    assert_eq!(cat.entry(sig).unwrap().node_name, "(recovered)", "{what}");
+                    let stats = cat.recovery_stats();
+                    assert!(stats.salvaged_by_scan && stats.journal_rewritten, "{what}");
+                    assert_eq!(stats.migrated_from, None, "{what}");
+                }
+                Expect::Refused => {
+                    let err = match opened {
+                        Err(err) => format!("{err}"),
+                        Ok(_) => panic!("{what} must be refused"),
+                    };
+                    assert!(err.contains("newer"), "{what}: {err}");
+                    assert_eq!(std::fs::read(&file).unwrap(), bytes, "{what} left intact");
+                }
+                Expect::Swept => {
+                    let cat = opened.unwrap();
+                    assert!(cat.is_empty(), "{what} must not be trusted");
+                    assert!(!file.exists(), "{what} swept");
+                    let stats = cat.recovery_stats();
+                    assert!(stats.migrated_from.is_some_and(|v| v <= 2), "{what}");
+                    assert_eq!(stats.swept_files, 1, "{what}");
+                    assert!(!stats.salvaged_by_scan, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2474,11 +2467,10 @@ mod tests {
             stats.disk_bytes_after_open >= stats.accounted_bytes_after_open,
             "disk holds at least the accounted artifact bytes"
         );
-        // The overhead is exactly journal + marker (nothing stranded).
+        // The overhead is exactly the journal (nothing stranded).
         let overhead = stats.disk_bytes_after_open - stats.accounted_bytes_after_open;
         let journal = std::fs::metadata(root.join("catalog.journal")).unwrap().len();
-        let marker = std::fs::metadata(root.join("format.version")).unwrap().len();
-        assert_eq!(overhead, journal + marker);
+        assert_eq!(overhead, journal);
         assert_eq!(stats.stranded_bytes, 0);
     }
 
@@ -2586,40 +2578,6 @@ mod tests {
 
     // ----- durable format versioning -----
 
-    /// Create a directory that looks exactly like a pre-journal catalog:
-    /// artifact files plus a legacy `manifest.json` (and, when `version`
-    /// is set, the matching marker file), no journal.
-    fn fake_legacy_catalog(version: Option<u32>) -> (PathBuf, Vec<String>) {
-        let root = std::env::temp_dir().join(format!(
-            "helix-legacy-test-{}-{}",
-            std::process::id(),
-            UNIQUE.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::create_dir_all(&root).unwrap();
-        let mut files = Vec::new();
-        let mut entries = Vec::new();
-        for (i, name) in ["old-a", "old-b"].iter().enumerate() {
-            let sig = Signature::of_str(name);
-            let file = format!("{}.hxm", sig.to_hex());
-            std::fs::write(root.join(&file), b"legacy artifact bytes").unwrap();
-            entries.push(format!(
-                r#"{{"signature":"{}","file":"{file}","bytes":21,"node_name":"{name}","created_iteration":{i},"write_nanos":0,"measured_load_nanos":null,"owners":null,"writers":null}}"#,
-                sig.to_hex(),
-            ));
-            files.push(file);
-        }
-        let version_field = version.map(|v| format!("\"format_version\":{v},")).unwrap_or_default();
-        std::fs::write(
-            root.join("manifest.json"),
-            format!("{{{version_field}\"entries\":[{}]}}", entries.join(",")),
-        )
-        .unwrap();
-        if let Some(v) = version {
-            std::fs::write(root.join("format.version"), format!("{v}\n")).unwrap();
-        }
-        (root, files)
-    }
-
     #[test]
     fn journal_snapshot_records_the_current_format_version() {
         let cat = temp_catalog();
@@ -2637,100 +2595,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_provenance_manifest_is_invalidated_not_misread() {
-        // A v1 (pre-provenance, pre-journal) catalog: its signatures were
-        // computed without seeds in the chain, so its entries must not be
-        // served under the current scheme. Open must drop the entries,
-        // sweep the manifest and artifact files, and leave a consistent,
-        // journal-backed, empty catalog — no panic, and a second reopen
-        // must be clean too.
-        let (root, files) = fake_legacy_catalog(None);
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.is_empty(), "pre-provenance entries dropped");
-        assert_eq!(reopened.total_bytes(), 0);
-        for file in &files {
-            assert!(!root.join(file).exists(), "stale artifact {file} must be swept");
-        }
-        assert!(!root.join("manifest.json").exists(), "legacy manifest swept");
-        let stats = reopened.recovery_stats();
-        assert_eq!(stats.migrated_from, Some(1));
-        assert!(stats.recovered);
-        assert!(stats.swept_bytes > 0);
-        // The migrated catalog is journal-backed from here on.
-        reopened.store(Signature::of_str("fresh"), "n", 0, &scalar(3.0)).unwrap();
-        drop(reopened);
-        let again = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert_eq!(again.len(), 1);
-        assert!(again.contains(Signature::of_str("fresh")));
-        assert_eq!(again.recovery_stats().migrated_from, None, "second open is native");
-    }
-
-    #[test]
-    fn v2_manifest_catalog_migrates_by_invalidation_too() {
-        // v2 keyed signatures correctly but persisted through the
-        // rewrite-the-whole-manifest scheme; the journal replaced it.
-        let (root, files) = fake_legacy_catalog(Some(2));
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.is_empty(), "pre-journal entries dropped");
-        for file in &files {
-            assert!(!root.join(file).exists());
-        }
-        assert_eq!(reopened.recovery_stats().migrated_from, Some(2));
-        assert!(reopened.recovery_stats().journal_rewritten);
-    }
-
-    #[test]
-    fn torn_legacy_manifest_still_migrates_cleanly() {
-        // Crash-consistency across the version boundary: a legacy catalog
-        // that died mid-flush (tmp holds the snapshot, primary torn) must
-        // still migrate by invalidation, not panic or misread.
-        let (root, files) = fake_legacy_catalog(None);
-        let good = std::fs::read_to_string(root.join("manifest.json")).unwrap();
-        std::fs::write(root.join("manifest.json.tmp"), &good).unwrap();
-        std::fs::write(root.join("manifest.json"), &good[..good.len() / 2]).unwrap();
-
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.is_empty(), "legacy entries dropped even on the recovery path");
-        for file in &files {
-            assert!(!root.join(file).exists(), "artifact {file} swept");
-        }
-        assert!(!root.join("manifest.json.tmp").exists());
-        drop(reopened);
-        let again = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(again.is_empty(), "second reopen stays clean");
-    }
-
-    #[test]
-    fn unmarked_artifacts_are_swept_not_trusted() {
-        // Artifact files with no journal, no manifest, and no marker
-        // predate provenance keying: the salvage scan must NOT resurrect
-        // them under the current scheme. They are swept (recomputable by
-        // definition).
-        let root = std::env::temp_dir().join(format!(
-            "helix-unmarked-test-{}-{}",
-            std::process::id(),
-            UNIQUE.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::create_dir_all(&root).unwrap();
-        let sig = Signature::of_str("pre-provenance");
-        let file = format!("{}.hxm", sig.to_hex());
-        std::fs::write(root.join(&file), b"unversioned bytes").unwrap();
-
-        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(reopened.is_empty(), "unversioned salvage must be refused");
-        assert!(!root.join(&file).exists(), "pre-provenance artifact swept");
-        assert!(reopened.recovery_stats().migrated_from.is_some());
-        // The marker + journal now exist, so a current-format crash in
-        // the same directory salvages normally from here on.
-        reopened.store(sig, "n", 0, &scalar(2.0)).unwrap();
-        drop(reopened);
-        std::fs::remove_file(root.join("catalog.journal")).unwrap();
-        let again = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
-        assert!(again.contains(sig), "marked catalog still salvages via artifact scan");
-        assert!(again.recovery_stats().salvaged_by_scan);
-    }
-
-    #[test]
     fn newer_format_catalogs_are_rejected_with_a_clear_error() {
         let cat = temp_catalog();
         let root = cat.root().to_path_buf();
@@ -2738,7 +2602,10 @@ mod tests {
         drop(cat);
         let newer = MaterializationCatalog::FORMAT_VERSION + 1;
 
-        // (a) A newer snapshot format version inside the journal.
+        // A newer snapshot format version inside a current-format frame.
+        // (A newer frame header is refused too: the journal's in
+        // `tests/storage_corruption.rs`, an artifact's in
+        // `lost_journal_classifies_artifacts_by_frame_header`.)
         let payload = format!(r#"{{"format_version":{newer},"entries":[]}}"#);
         JournalWriter::rewrite(
             &root.join("catalog.journal"),
@@ -2752,13 +2619,5 @@ mod tests {
         assert!(err.contains("newer"), "error must explain the refusal: {err}");
         // Nothing was destroyed: the future build's data is intact.
         assert!(root.join(format!("{}.hxm", Signature::of_str("future").to_hex())).exists());
-
-        // (b) A newer standalone marker refuses even before the scan.
-        std::fs::write(root.join("format.version"), format!("{newer}\n")).unwrap();
-        let err = match MaterializationCatalog::open(&root, DiskProfile::unthrottled()) {
-            Err(err) => format!("{err}"),
-            Ok(_) => panic!("newer marker must be refused"),
-        };
-        assert!(err.contains("newer"));
     }
 }

@@ -43,9 +43,10 @@ use helix_common::HelixError;
 /// pre-journal artifact is cleanly `NotAFrame`, never misparsed.
 pub const MAGIC: &[u8; 4] = b"HXF3";
 
-/// Frame format version. Tracks
-/// [`MaterializationCatalog::FORMAT_VERSION`](crate::MaterializationCatalog::FORMAT_VERSION):
-/// sealed-frame bytes may only change together with a bump here.
+/// Frame format version, and with it the catalog's
+/// ([`MaterializationCatalog::FORMAT_VERSION`](crate::MaterializationCatalog::FORMAT_VERSION)
+/// is defined from it): sealed-frame bytes may only change together with
+/// a bump here.
 pub const FORMAT_VERSION: u8 = 3;
 
 /// Bytes before the payload: magic (4) + version (1) + kind (1) +
