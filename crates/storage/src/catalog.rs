@@ -2367,65 +2367,67 @@ mod tests {
         assert!(stats.swept_files >= 1);
     }
 
-    #[test]
-    fn lost_journal_classifies_artifacts_by_frame_header() {
-        enum Expect {
-            Salvaged,
-            Refused,
-            Swept,
-        }
-        let current = encode_value(&scalar(3.25));
-        let mut newer = current.clone();
-        newer[4] = frame::FORMAT_VERSION + 1;
-        let rows = [
-            ("current frame", current, Expect::Salvaged),
-            ("newer frame", newer, Expect::Refused),
-            ("pre-journal HXM1", b"HXM1\x02legacy artifact bytes".to_vec(), Expect::Swept),
-            ("garbage", b"not a frame at all".to_vec(), Expect::Swept),
-            ("3-byte file", b"HXF".to_vec(), Expect::Swept),
-        ];
-        for (what, bytes, expect) in rows {
-            // A catalog that stored one artifact, then lost its journal
-            // (a crash before the first commit, or manual deletion); the
-            // artifact file holds the row's bytes.
-            let cat = temp_catalog();
-            let root = cat.root().to_path_buf();
-            let sig = Signature::of_str(what);
-            cat.store(sig, "n", 0, &scalar(3.25)).unwrap();
-            drop(cat);
-            std::fs::remove_file(root.join("catalog.journal")).unwrap();
-            let file = root.join(format!("{}.hxm", sig.to_hex()));
-            std::fs::write(&file, &bytes).unwrap();
+    /// A catalog that stored one artifact under `what`, then lost its
+    /// journal (a crash before the first commit, or manual deletion); the
+    /// artifact file is overwritten with `bytes`. Returns the root, the
+    /// signature and the artifact path.
+    fn lost_journal_with_artifact(what: &str, bytes: &[u8]) -> (PathBuf, Signature, PathBuf) {
+        let cat = temp_catalog();
+        let root = cat.root().to_path_buf();
+        let sig = Signature::of_str(what);
+        cat.store(sig, "n", 0, &scalar(3.25)).unwrap();
+        drop(cat);
+        std::fs::remove_file(root.join("catalog.journal")).unwrap();
+        let file = root.join(format!("{}.hxm", sig.to_hex()));
+        std::fs::write(&file, bytes).unwrap();
+        (root, sig, file)
+    }
 
-            let opened = MaterializationCatalog::open(&root, DiskProfile::unthrottled());
-            match expect {
-                Expect::Salvaged => {
-                    let cat = opened.unwrap();
-                    let (value, _) = cat.load(sig).unwrap();
-                    assert_eq!(value.as_scalar().unwrap().as_f64(), Some(3.25), "{what}");
-                    assert_eq!(cat.entry(sig).unwrap().node_name, "(recovered)", "{what}");
-                    let stats = cat.recovery_stats();
-                    assert!(stats.salvaged_by_scan && stats.journal_rewritten, "{what}");
-                    assert_eq!(stats.migrated_from, None, "{what}");
-                }
-                Expect::Refused => {
-                    let err = match opened {
-                        Err(err) => format!("{err}"),
-                        Ok(_) => panic!("{what} must be refused"),
-                    };
-                    assert!(err.contains("newer"), "{what}: {err}");
-                    assert_eq!(std::fs::read(&file).unwrap(), bytes, "{what} left intact");
-                }
-                Expect::Swept => {
-                    let cat = opened.unwrap();
-                    assert!(cat.is_empty(), "{what} must not be trusted");
-                    assert!(!file.exists(), "{what} swept");
-                    let stats = cat.recovery_stats();
-                    assert!(stats.migrated_from.is_some_and(|v| v <= 2), "{what}");
-                    assert_eq!(stats.swept_files, 1, "{what}");
-                    assert!(!stats.salvaged_by_scan, "{what}");
-                }
-            }
+    #[test]
+    fn lost_journal_with_current_marker_salvages_by_artifact_scan() {
+        // With no journal, an artifact whose frame header carries the
+        // current format version is the marker that proves current-format
+        // keying: the scan resurrects it.
+        let (root, sig, _) = lost_journal_with_artifact("scanned", &encode_value(&scalar(3.25)));
+        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+        assert!(reopened.contains(sig), "artifact scan resurrects the entry");
+        let (value, _) = reopened.load(sig).unwrap();
+        assert_eq!(value.as_scalar().unwrap().as_f64(), Some(3.25));
+        assert_eq!(reopened.entry(sig).unwrap().node_name, "(recovered)");
+        let stats = reopened.recovery_stats();
+        assert!(stats.salvaged_by_scan);
+        assert!(stats.journal_rewritten);
+        assert_eq!(stats.migrated_from, None);
+    }
+
+    #[test]
+    fn unmarked_artifacts_are_swept_not_trusted() {
+        // Artifact files with no journal and no current-format frame
+        // header predate provenance keying (or are not artifacts at all):
+        // the salvage scan must NOT resurrect them under the current
+        // scheme. They are swept (recomputable by definition).
+        let rows: [(&str, &[u8]); 3] = [
+            ("pre-journal HXM1", b"HXM1\x02legacy artifact bytes"),
+            ("garbage", b"not a frame at all"),
+            ("3-byte file", b"HXF"),
+        ];
+        for (what, bytes) in rows {
+            let (root, sig, file) = lost_journal_with_artifact(what, bytes);
+            let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+            assert!(reopened.is_empty(), "{what} must not be trusted");
+            assert!(!file.exists(), "{what} swept");
+            let stats = reopened.recovery_stats();
+            assert!(stats.migrated_from.is_some_and(|v| v <= 2), "{what}");
+            assert_eq!(stats.swept_files, 1, "{what}");
+            assert!(!stats.salvaged_by_scan, "{what}");
+            // A current-format crash in the same directory salvages
+            // normally from here on.
+            reopened.store(sig, "n", 0, &scalar(2.0)).unwrap();
+            drop(reopened);
+            std::fs::remove_file(root.join("catalog.journal")).unwrap();
+            let again = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+            assert!(again.contains(sig), "{what}: current artifact still salvages");
+            assert!(again.recovery_stats().salvaged_by_scan, "{what}");
         }
     }
 
@@ -2603,9 +2605,9 @@ mod tests {
         let newer = MaterializationCatalog::FORMAT_VERSION + 1;
 
         // A newer snapshot format version inside a current-format frame.
-        // (A newer frame header is refused too: the journal's in
-        // `tests/storage_corruption.rs`, an artifact's in
-        // `lost_journal_classifies_artifacts_by_frame_header`.)
+        // (A newer journal frame header is refused too: see
+        // `tests/storage_corruption.rs`. A newer artifact frame header is
+        // checked below.)
         let payload = format!(r#"{{"format_version":{newer},"entries":[]}}"#);
         JournalWriter::rewrite(
             &root.join("catalog.journal"),
@@ -2619,5 +2621,17 @@ mod tests {
         assert!(err.contains("newer"), "error must explain the refusal: {err}");
         // Nothing was destroyed: the future build's data is intact.
         assert!(root.join(format!("{}.hxm", Signature::of_str("future").to_hex())).exists());
+
+        // With no journal, an artifact with a newer frame header refuses
+        // the open and is left intact.
+        let mut bytes = encode_value(&scalar(3.25));
+        bytes[4] = frame::FORMAT_VERSION + 1;
+        let (root, _, file) = lost_journal_with_artifact("newer frame", &bytes);
+        let err = match MaterializationCatalog::open(&root, DiskProfile::unthrottled()) {
+            Err(err) => format!("{err}"),
+            Ok(_) => panic!("newer artifact frame must be refused"),
+        };
+        assert!(err.contains("newer"), "error must explain the refusal: {err}");
+        assert_eq!(std::fs::read(&file).unwrap(), bytes, "newer artifact left intact");
     }
 }
