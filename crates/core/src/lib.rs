@@ -25,10 +25,6 @@
 //!   materialization policy under the storage budget.
 //! * [`session`] — the iteration driver: owns the catalog and statistics
 //!   across iterations and exposes `run(&Workflow)`.
-//! * [`driver`] — one iteration as an explicit state machine
-//!   ([`SessionDriver`]): solo sessions drive it inline, pooled service
-//!   runners park it between steps so idle sessions cost memory, not
-//!   threads.
 //! * [`prune`] — data-driven pruning helpers (zero-weight feature → prunable
 //!   extractor provenance, §5.4).
 //!
@@ -60,7 +56,6 @@
 //! assert_eq!(out.as_f64(), Some(4.5));
 //! ```
 
-pub mod driver;
 pub mod dsl;
 pub mod engine;
 pub mod materialize;
@@ -80,11 +75,10 @@ pub mod prelude {
     pub use helix_exec::Phase;
 }
 
-pub use driver::{drive_overlapped, speculate_budgeted, SessionDriver, Step};
 pub use dsl::Workflow;
 pub use materialize::MatStrategy;
 pub use operator::{Operator, ProvenanceInputs, SeededOperator};
-pub use pipeline::{speculate, BackgroundWriter, Prefetcher, SpeculationInputs, SpeculativePlan};
+pub use pipeline::{BackgroundWriter, Prefetcher};
 pub use session::{
     IterationReport, ReuseScope, Session, SessionConfig, SessionHandles, DEFAULT_SEED,
 };

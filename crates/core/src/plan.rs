@@ -41,45 +41,24 @@ pub struct PlanInputs<'a> {
     pub default_compute_nanos: Nanos,
 }
 
-/// The catalog/statistics lookups planning performs, one `(estimated
-/// load, measured compute)` pair per node in id order. This is the
-/// planner's *entire* read footprint: [`plan`] is a pure function of the
-/// workflow and this vector, which is what makes speculative
-/// cross-iteration planning sound — a plan computed early from a read-set
-/// snapshot is byte-identical to the serial plan whenever the snapshot
-/// still matches at commit time (see `helix_core::pipeline`).
-pub type PlanReadSet = Vec<(Option<Nanos>, Option<Nanos>)>;
-
-/// Capture the planner's read set from live catalog + statistics state.
-pub fn plan_read_set(wf: &Workflow, inputs: &PlanInputs<'_>) -> PlanReadSet {
-    wf.dag()
-        .iter()
-        .map(|(id, spec)| {
-            let sig = inputs.sigs[id.ix()];
-            let load = if inputs.reuse.allows(spec.phase) {
-                inputs.catalog.estimated_load_nanos(sig)
-            } else {
-                None
-            };
-            (load, inputs.compute_stats.get(&sig).copied())
-        })
-        .collect()
-}
-
 /// Build costs and solve OPT-EXEC-PLAN.
 pub fn plan(wf: &Workflow, inputs: &PlanInputs<'_>) -> Plan {
-    plan_from_read_set(wf, &plan_read_set(wf, inputs), inputs.default_compute_nanos)
-}
-
-/// Solve OPT-EXEC-PLAN from a frozen read set (no live catalog access).
-pub fn plan_from_read_set(wf: &Workflow, reads: &PlanReadSet, default_compute: Nanos) -> Plan {
     let dag = wf.dag();
     let costs: Vec<NodeCosts> = dag
         .iter()
-        .zip(reads.iter().copied())
-        .map(|((_, spec), (load, stat))| {
-            let compute = stat.unwrap_or(default_compute).max(1);
-            let load = load.map(|l| l.max(1));
+        .map(|(id, spec)| {
+            let sig = inputs.sigs[id.ix()];
+            let compute = inputs
+                .compute_stats
+                .get(&sig)
+                .copied()
+                .unwrap_or(inputs.default_compute_nanos)
+                .max(1);
+            let load = if inputs.reuse.allows(spec.phase) {
+                inputs.catalog.estimated_load_nanos(sig).map(|l| l.max(1))
+            } else {
+                None
+            };
             let mut c = NodeCosts::new(compute, load);
             if spec.is_output {
                 c = c.required();

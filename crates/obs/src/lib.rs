@@ -47,13 +47,13 @@ pub use span::{
 pub mod layer {
     /// Engine node lifecycle: dispatch/compute/load/prune/materialize.
     pub const ENGINE: &str = "engine";
-    /// `core::pipeline` lanes: speculation, background writer, prefetch.
+    /// `core::pipeline` lanes: background writer, prefetch.
     pub const PIPELINE: &str = "pipeline";
     /// Serve admission + runner: `admission.queued` (enqueue→pick, DRF
     /// share at pick), `session.park` (retrospective at resume: time a
-    /// job sat parked for its session or a core token), `runner.resume`
-    /// (park→iteration handoff on a pool worker), `execute`; gauge
-    /// `serve.sessions_parked` tracks the live wait-set depth.
+    /// job sat parked for a core token), `runner.resume` (park→iteration
+    /// handoff on a pool worker), `execute`; gauge
+    /// `serve.sessions_parked` tracks the live core wait-set depth.
     pub const SERVE: &str = "serve";
     /// Storage: journal append/compact/fsync, eviction, recovery replay.
     pub const STORAGE: &str = "storage";

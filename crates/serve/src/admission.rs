@@ -11,8 +11,7 @@
 //!   with an eligible job, the one with the lowest weighted dominant
 //!   share over cores + catalog storage wins (exact share ties by lowest
 //!   weighted lifetime dispatch count, then tenant id); within that
-//!   tenant, a fresh session's job beats a parked pipelining successor,
-//!   then submission order. Tenant priorities are ignored.
+//!   tenant, submission order. Tenant priorities are ignored.
 //!
 //! A job is eligible when
 //!
@@ -22,38 +21,29 @@
 //!    cap, bounds threads),
 //! 2. its tenant is under its own concurrency cap
 //!    ([`TenantSpec::max_concurrent`](crate::TenantSpec), counted over
-//!    *sessions with dispatched work* — a session executes at most one
-//!    iteration at a time, so this bounds the tenant's executing
-//!    iterations race-free, while a pipelining successor of an
-//!    already-counted session rides free), and
-//! 3. its session is pipelinable: a session iteration is "in flight" for
-//!    ordering purposes only during its **execute phase**. While an
-//!    incumbent executes, exactly one successor job of the same session
-//!    may dispatch — it speculatively *plans* (`Session::speculate`
-//!    against the snapshot the incumbent published) while the incumbent
-//!    still runs, then waits its turn on the session lock. Iterations of
-//!    one session still *retire* strictly in submission order (the
-//!    session is stateful); only their planning overlaps.
+//!    *sessions with a dispatched job*), and
+//! 3. its session has no dispatched job. A session is stateful, so its
+//!    iterations run one at a time in submission order; a later job of a
+//!    busy session waits here, in the queue, until the incumbent retires.
 //!
 //! **The queue is indexed, not scanned.** Queued jobs sit in per-session
-//! FIFOs; each tenant lane keeps two ordered sets of *sessions* keyed by
-//! their head job's sequence number — `fresh` (idle sessions, rule 2
-//! applies) and `successors` (rule 3's one planning successor). The one
-//! `relist` helper re-derives a session's membership after every event,
-//! so a tenant's candidate is a set minimum and a pick is one pass over
-//! the tenant lanes, whatever the backlog. The pick *sequence* is the
-//! contract: the test module pins it, audit counters included, against a
-//! flat-list specification of the rules above.
+//! FIFOs; each tenant lane keeps the ordered set `fresh` of its idle
+//! sessions with queued work, keyed by their head job's sequence number.
+//! The one `relist` helper re-derives a session's membership after every
+//! event, so a tenant's candidate is a set minimum and a pick is one pass
+//! over the tenant lanes, whatever the backlog. The pick *sequence* is
+//! the contract: the test module pins it, audit counters included,
+//! against a flat-list specification of the rules above.
 //!
 //! Scheduling affects *when* a tenant's iteration runs, never *what* it
 //! produces: the determinism contract is enforced one layer down
 //! (provenance-keyed signatures that fold each session's seed into the
-//! chain + read-set-validated speculative plans), so the policy here is
-//! free to reorder across tenants for latency or fairness.
+//! chain), so the policy here is free to reorder across tenants for
+//! latency or fairness.
 
 use crate::fairshare::{DrfAllocator, FairnessAudit, SchedulingPolicy, TenantAudit, SHARE_SCALE};
 use crate::ticket::TicketState;
-use helix_core::{Session, SpeculationInputs, Workflow};
+use helix_core::{Session, Workflow};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -80,16 +70,12 @@ pub(crate) struct Job {
     pub tenant_max_concurrent: usize,
     pub session_id: u64,
     pub session: Arc<Mutex<Session>>,
-    /// Per-session mailbox for speculation snapshots: an iteration
-    /// entering its execute phase publishes one; its successor takes it
-    /// and plans ahead while the incumbent still runs.
-    pub spec_slot: Arc<Mutex<Option<SpeculationInputs>>>,
     pub wf: Workflow,
     pub ticket: Arc<TicketState>,
     pub enqueued: Instant,
 }
 
-/// One session's queued jobs and what its dispatched jobs are up to.
+/// One session's queued jobs and whether one of them is dispatched.
 /// Lives only while the session has work queued or dispatched.
 #[derive(Default)]
 struct SessionLane {
@@ -97,16 +83,13 @@ struct SessionLane {
     tenant: usize,
     /// Queued jobs, in submission order.
     jobs: VecDeque<Job>,
-    /// Dispatched, unfinished jobs (at most 2: one executing + one
-    /// planning successor).
-    members: usize,
-    /// Of those, jobs still in their plan phase.
-    planning: usize,
-    /// Where `relist` last put the session: `(in successors, head seq)`.
-    listed: Option<(bool, u64)>,
+    /// A job of this session is dispatched and unfinished.
+    dispatched: bool,
+    /// The head seq `relist` last filed the session under in `fresh`.
+    listed: Option<u64>,
 }
 
-/// One tenant's ready sets, cap bookkeeping and audit counters.
+/// One tenant's ready set, cap bookkeeping and audit counters.
 #[derive(Default)]
 struct TenantLane {
     name: String,
@@ -116,14 +99,8 @@ struct TenantLane {
     /// Idle sessions with queued work, keyed `(head seq, session id)` —
     /// dispatchable while the tenant is under its session cap.
     fresh: BTreeSet<(u64, u64)>,
-    /// Sessions with queued work whose sole dispatched job is executing,
-    /// same key: each may dispatch one planning successor, cap-free.
-    successors: BTreeSet<(u64, u64)>,
-    /// Sessions with at least one dispatched job — what the tenant
-    /// concurrency cap bounds. Each session executes at most one
-    /// iteration at a time (the session lock), so capping *active
-    /// sessions* caps executing iterations without the pick-to-
-    /// mark-executing race a phase-count check would have.
+    /// Sessions with a dispatched job — what the tenant concurrency cap
+    /// bounds.
     active_sessions: usize,
     /// Queued jobs across the tenant's sessions.
     queued: usize,
@@ -139,16 +116,10 @@ struct TenantLane {
 }
 
 impl TenantLane {
-    /// The tenant's next job as `(is successor, head seq, session id)`:
-    /// its earliest fresh session if the cap has room, else its earliest
-    /// successor. Orders as the policies rank within a tenant — fresh
-    /// work before a successor that would only park on its session's
-    /// lock, then submission order.
-    fn candidate(&self) -> Option<(bool, u64, u64)> {
-        let fresh = self.fresh.first().filter(|_| self.active_sessions < self.max_concurrent);
-        fresh
-            .map(|&(seq, session)| (false, seq, session))
-            .or_else(|| self.successors.first().map(|&(seq, session)| (true, seq, session)))
+    /// The tenant's next job as `(head seq, session id)`: its earliest
+    /// idle session, if the cap has room.
+    fn candidate(&self) -> Option<(u64, u64)> {
+        self.fresh.first().copied().filter(|_| self.active_sessions < self.max_concurrent)
     }
 }
 
@@ -161,11 +132,9 @@ pub(crate) struct AdmissionQueue {
     sessions: HashMap<u64, SessionLane>,
     /// Jobs waiting in session FIFOs — what `queue_capacity` bounds.
     queued: usize,
-    /// All dispatched, unfinished jobs (plan + execute phases, parked or
-    /// running) — what the global cap bounds.
+    /// All dispatched, unfinished jobs (parked or running) — what the
+    /// global cap bounds.
     dispatched_total: usize,
-    /// Execute-phase jobs (observability: `QueueSnapshot::running`).
-    executing_total: usize,
     next_seq: u64,
     /// Queued + dispatched: zero means fully drained.
     jobs_in_system: usize,
@@ -208,7 +177,6 @@ impl AdmissionQueue {
             sessions: HashMap::new(),
             queued: 0,
             dispatched_total: 0,
-            executing_total: 0,
             next_seq: 0,
             jobs_in_system: 0,
             shutdown: false,
@@ -225,31 +193,24 @@ impl AdmissionQueue {
         self.queued < self.caps.queue_capacity
     }
 
-    /// Re-derive `session_id`'s place in its tenant's ready sets from its
-    /// current state: idle with queued work → `fresh`; sole dispatched
-    /// job executing → `successors`; anything else → neither. Called
-    /// after every event that touches the session; drops the lane once
-    /// nothing is queued or dispatched.
+    /// Re-derive whether `session_id` belongs in its tenant's `fresh`
+    /// set: it does while it is idle with queued work. Called after every
+    /// event that touches the session; drops the lane once nothing is
+    /// queued or dispatched.
     fn relist(&mut self, session_id: u64) {
         let Some(lane) = self.sessions.get_mut(&session_id) else { return };
-        let tenant = &mut self.tenants[lane.tenant];
-        let listed = match (lane.jobs.front(), lane.members, lane.planning) {
-            (Some(head), 0, _) => Some((false, head.seq)),
-            (Some(head), 1, 0) => Some((true, head.seq)),
-            _ => None,
-        };
+        let fresh = &mut self.tenants[lane.tenant].fresh;
+        let listed = lane.jobs.front().filter(|_| !lane.dispatched).map(|head| head.seq);
         if listed != lane.listed {
-            if let Some((successor, seq)) = lane.listed {
-                let set = if successor { &mut tenant.successors } else { &mut tenant.fresh };
-                set.remove(&(seq, session_id));
+            if let Some(seq) = lane.listed {
+                fresh.remove(&(seq, session_id));
             }
-            if let Some((successor, seq)) = listed {
-                let set = if successor { &mut tenant.successors } else { &mut tenant.fresh };
-                set.insert((seq, session_id));
+            if let Some(seq) = listed {
+                fresh.insert((seq, session_id));
             }
             lane.listed = listed;
         }
-        if lane.jobs.is_empty() && lane.members == 0 {
+        if lane.jobs.is_empty() && !lane.dispatched {
             self.sessions.remove(&session_id);
         }
     }
@@ -287,7 +248,7 @@ impl AdmissionQueue {
     }
 
     /// Remove and return the next dispatchable job per the policy, marking
-    /// it dispatched (in its plan phase); `None` when nothing is eligible.
+    /// it dispatched; `None` when nothing is eligible.
     pub fn pick(&mut self) -> Option<Job> {
         if !self.can_dispatch() {
             return None;
@@ -300,7 +261,7 @@ impl AdmissionQueue {
             self.tenant_index[self.drf.pick(with_candidate.map(|l| l.name.as_str()))?];
         let picked = match &self.policy {
             // Strictly higher priority wins; at equal priority the
-            // candidates' own order decides (fresh first, then FIFO).
+            // earlier submission does.
             SchedulingPolicy::Priority => {
                 let ranked = self.tenants.iter().enumerate().filter_map(|(ix, lane)| {
                     lane.candidate().map(|candidate| (Reverse(lane.priority), candidate, ix))
@@ -332,17 +293,14 @@ impl AdmissionQueue {
             }
         }
         let lane = &mut self.tenants[picked];
-        let (_, _, session_id) = lane.candidate().expect("the picked tenant has a candidate");
+        let (_, session_id) = lane.candidate().expect("the picked tenant has a candidate");
         let session = self.sessions.get_mut(&session_id).expect("listed sessions have lanes");
         let job = session.jobs.pop_front().expect("listed sessions have queued work");
         self.queued -= 1;
         lane.queued -= 1;
         self.dispatched_total += 1;
-        if session.members == 0 {
-            lane.active_sessions += 1;
-        }
-        session.members += 1;
-        session.planning += 1;
+        lane.active_sessions += 1;
+        session.dispatched = true;
         self.drf.acquire(&job.tenant);
         self.relist(session_id);
         // Trace the enqueue→pick wait retrospectively, carrying the
@@ -414,12 +372,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Whether a job for `session_id` is still waiting in the queue (a
-    /// successor that could consume a speculation snapshot).
-    pub fn has_queued_job(&self, session_id: u64) -> bool {
-        self.sessions.get(&session_id).is_some_and(|lane| !lane.jobs.is_empty())
-    }
-
     /// Remove a still-queued job of `session_id` by its ticket
     /// (cancellation). A job that already dispatched is not in the queue
     /// and returns `None` — it runs to completion; there is no dispatch
@@ -435,33 +387,14 @@ impl AdmissionQueue {
         Some(job)
     }
 
-    /// A dispatched job finished planning and entered its execute phase:
-    /// from here its session may admit a planning successor.
-    pub fn mark_executing(&mut self, session_id: u64) {
-        if let Some(lane) = self.sessions.get_mut(&session_id) {
-            lane.planning = lane.planning.saturating_sub(1);
-        }
-        self.executing_total += 1;
-        self.relist(session_id);
-    }
-
-    /// Retire a dispatched job. `entered_execute` tells the queue which
-    /// phase the job died in (a failed `prepare` never marked executing).
-    pub fn finish(&mut self, tenant: &str, session_id: u64, entered_execute: bool) {
+    /// Retire `session_id`'s dispatched job.
+    pub fn finish(&mut self, tenant: &str, session_id: u64) {
         self.dispatched_total -= 1;
         self.jobs_in_system -= 1;
         self.drf.release(tenant);
-        if entered_execute {
-            self.executing_total = self.executing_total.saturating_sub(1);
-        }
         if let Some(lane) = self.sessions.get_mut(&session_id) {
-            lane.members -= 1;
-            if !entered_execute {
-                lane.planning = lane.planning.saturating_sub(1);
-            }
-            if lane.members == 0 {
-                self.tenants[lane.tenant].active_sessions -= 1;
-            }
+            lane.dispatched = false;
+            self.tenants[lane.tenant].active_sessions -= 1;
         }
         self.relist(session_id);
     }
@@ -475,8 +408,7 @@ impl AdmissionQueue {
     pub fn snapshot(&self) -> QueueSnapshot {
         QueueSnapshot {
             queued: self.queued,
-            running: self.executing_total,
-            planning: self.dispatched_total - self.executing_total,
+            running: self.dispatched_total,
             queue_capacity: self.caps.queue_capacity,
             max_concurrent_iterations: self.caps.max_concurrent_iterations,
         }
@@ -488,11 +420,8 @@ impl AdmissionQueue {
 pub struct QueueSnapshot {
     /// Jobs waiting for dispatch.
     pub queued: usize,
-    /// Iterations currently in their execute phase.
+    /// Dispatched, unfinished iterations (running or parked on a core).
     pub running: usize,
-    /// Dispatched successors still in their plan phase (overlapping a
-    /// predecessor's execution).
-    pub planning: usize,
     /// The bounded queue's capacity.
     pub queue_capacity: usize,
     /// The global concurrency cap (over all dispatched jobs).
@@ -504,7 +433,7 @@ mod tests {
     use super::*;
     use helix_common::SplitMix64;
     use helix_core::{SessionConfig, Workflow};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
     use std::sync::OnceLock;
 
     /// The queue never touches a job's session, so every test job shares
@@ -522,7 +451,6 @@ mod tests {
             tenant_max_concurrent: cap,
             session_id,
             session: Arc::clone(session),
-            spec_slot: Arc::new(Mutex::new(None)),
             wf: Workflow::new("w"),
             ticket: TicketState::new(),
             enqueued: Instant::now(),
@@ -560,30 +488,12 @@ mod tests {
         q.enqueue(job("b", 0, 3, 1));
         let first = q.pick().unwrap();
         assert_eq!((first.tenant.as_str(), first.session_id), ("a", 1));
-        // Tenant a has one active session — at its cap of 1 *immediately*
-        // (no mark_executing window to race): b goes next despite later
-        // seq.
+        // Tenant a has one active session — at its cap of 1: b goes next
+        // despite later seq.
         assert_eq!(q.pick().unwrap().tenant, "b");
         assert!(q.pick().is_none(), "a's second session must wait for the cap");
-        q.finish("a", 1, false);
+        q.finish("a", 1);
         assert_eq!(q.pick().unwrap().session_id, 2);
-    }
-
-    #[test]
-    fn fresh_session_work_beats_a_parked_successor_at_equal_priority() {
-        // Under a tight global cap, a dispatch slot should go to work
-        // that can execute now, not to a successor that would park on
-        // its session's lock — even when the successor was queued first.
-        let mut q = AdmissionQueue::new(caps(10, 2));
-        q.enqueue(job("a", 0, 1, 4));
-        q.enqueue(job("a", 0, 1, 4)); // successor of session 1 (earlier seq)
-        q.enqueue(job("b", 0, 2, 4)); // fresh session (later seq)
-        assert_eq!(q.pick().unwrap().session_id, 1);
-        q.mark_executing(1);
-        assert_eq!(q.pick().unwrap().session_id, 2, "fresh session displaces the successor");
-        assert!(q.pick().is_none(), "global cap of 2 dispatched reached");
-        q.finish("b", 2, false);
-        assert_eq!(q.pick().unwrap().session_id, 1, "successor picked once capacity allows");
     }
 
     #[test]
@@ -602,44 +512,33 @@ mod tests {
         let removed = q.remove_queued(2, &queued_ticket).expect("queued job cancels");
         assert_eq!(removed.tenant, "b");
         assert!(q.pick().is_none(), "nothing left to pick");
-        q.finish("a", 1, false);
+        q.finish("a", 1);
         assert!(q.is_drained(), "cancelled job left the system");
     }
 
     #[test]
-    fn tenant_cap_still_admits_a_pipelining_successor() {
-        // Cap 1, one session: the successor shares the session's slot.
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("a", 0, 5, 1));
-        q.enqueue(job("a", 0, 5, 1));
-        assert_eq!(q.pick().unwrap().session_id, 5);
-        q.mark_executing(5);
-        assert_eq!(q.pick().unwrap().session_id, 5, "successor rides the session's cap slot");
-    }
-
-    #[test]
-    fn sessions_admit_one_planning_successor_once_executing() {
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("a", 0, 7, 4));
-        q.enqueue(job("a", 0, 7, 4));
-        q.enqueue(job("a", 0, 7, 4));
-        assert_eq!(q.pick().unwrap().session_id, 7);
-        assert!(q.pick().is_none(), "no successor while the incumbent is still planning");
-        q.mark_executing(7);
-        assert_eq!(
-            q.pick().unwrap().session_id,
-            7,
-            "execute phase admits exactly one planning successor"
-        );
-        assert!(q.pick().is_none(), "but never a third dispatched job");
-        // Incumbent retires; the successor is still planning, so the
-        // third job keeps waiting until it, too, enters execution.
-        q.finish("a", 7, true);
-        assert!(q.pick().is_none());
-        q.mark_executing(7);
-        assert_eq!(q.pick().unwrap().session_id, 7);
-        let snap = q.snapshot();
-        assert_eq!((snap.running, snap.planning), (1, 1));
+    fn a_session_never_has_two_jobs_dispatched() {
+        for policy in [SchedulingPolicy::Priority, SchedulingPolicy::fair()] {
+            let mut q = AdmissionQueue::with_policy(caps(10, 10), policy, 4, 1 << 20);
+            for _ in 0..3 {
+                q.enqueue(job("a", 0, 7, 4));
+            }
+            q.enqueue(job("b", 0, 8, 4));
+            assert_eq!(q.pick().unwrap().session_id, 7);
+            assert_eq!(q.pick().unwrap().session_id, 8, "a busy session's later job waits");
+            assert!(q.pick().is_none(), "never a second dispatched job of session 7");
+            assert_eq!(q.snapshot().running, 2);
+            // Each retirement admits exactly the session's next job.
+            for left in [1, 0] {
+                q.finish("a", 7);
+                assert_eq!(q.pick().unwrap().session_id, 7);
+                assert!(q.pick().is_none());
+                assert_eq!(q.snapshot().queued, left);
+            }
+            q.finish("a", 7);
+            q.finish("b", 8);
+            assert!(q.is_drained());
+        }
     }
 
     #[test]
@@ -651,7 +550,7 @@ mod tests {
         assert!(q.pick().is_some());
         assert!(q.pick().is_some());
         assert!(q.pick().is_none(), "global cap of 2 dispatched jobs reached");
-        q.finish("t", 0, false);
+        q.finish("t", 0);
         assert!(q.pick().is_some());
     }
 
@@ -725,18 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_prefers_fresh_work_over_a_parked_successor_within_a_tenant() {
-        let mut q = fair_queue(4);
-        q.enqueue(job("a", 0, 1, 8));
-        q.enqueue(job("a", 0, 1, 8)); // successor of session 1 (earlier seq)
-        q.enqueue(job("a", 0, 2, 8)); // fresh session (later seq)
-        assert_eq!(q.pick().unwrap().session_id, 1);
-        q.mark_executing(1);
-        assert_eq!(q.pick().unwrap().session_id, 2, "fresh session displaces the successor");
-        assert_eq!(q.pick().unwrap().session_id, 1, "successor picked next");
-    }
-
-    #[test]
     fn bounded_queue_reports_space() {
         let mut q = AdmissionQueue::new(caps(2, 1));
         assert!(q.has_space());
@@ -771,8 +658,8 @@ mod tests {
         drf: DrfAllocator,
         /// `(seq, tenant, priority, tenant cap, session)`.
         queue: Vec<(u64, String, u8, usize, u64)>,
-        /// Session → `(members, planning)`; absent when idle.
-        sessions: HashMap<u64, (usize, usize)>,
+        /// Sessions with a dispatched job.
+        busy: HashSet<u64>,
         active: HashMap<String, usize>,
         dispatched: usize,
         audit: FairnessAudit,
@@ -785,24 +672,20 @@ mod tests {
             if self.dispatched >= self.cap {
                 return None;
             }
-            // Rules 3 and 2: `(successor, index)` of every eligible job.
-            let eligible: Vec<(bool, usize)> = (0..self.queue.len())
-                .filter_map(|ix| {
+            // Rules 3 and 2: the index of every eligible job.
+            let eligible: Vec<usize> = (0..self.queue.len())
+                .filter(|&ix| {
                     let (_, tenant, _, cap, session) = &self.queue[ix];
-                    match self.sessions.get(session) {
-                        None => (self.active.get(tenant).copied().unwrap_or(0) < *cap)
-                            .then_some((false, ix)),
-                        Some(&(1, 0)) => Some((true, ix)),
-                        Some(_) => None,
-                    }
+                    !self.busy.contains(session)
+                        && self.active.get(tenant).copied().unwrap_or(0) < *cap
                 })
                 .collect();
-            let tenant_of = |&(_, ix): &(bool, usize)| self.queue[ix].1.as_str();
+            let tenant_of = |&ix: &usize| self.queue[ix].1.as_str();
             let drf_choice = self.drf.pick(eligible.iter().map(tenant_of))?.to_string();
-            let &(_, ix) = if self.fair {
+            let &ix = if self.fair {
                 eligible.iter().filter(|e| tenant_of(e) == drf_choice).min()?
             } else {
-                eligible.iter().min_by_key(|&&(succ, ix)| (Reverse(self.queue[ix].2), succ, ix))?
+                eligible.iter().min_by_key(|&&ix| (Reverse(self.queue[ix].2), ix))?
             };
             let tenants: std::collections::BTreeSet<String> =
                 eligible.iter().map(|e| tenant_of(e).to_string()).collect();
@@ -826,23 +709,16 @@ mod tests {
             }
             self.drf.acquire(&picked);
             self.dispatched += 1;
-            let activity = self.sessions.entry(session).or_default();
-            if activity.0 == 0 {
-                *self.active.entry(picked.clone()).or_default() += 1;
-            }
-            *activity = (activity.0 + 1, activity.1 + 1);
+            self.busy.insert(session);
+            *self.active.entry(picked.clone()).or_default() += 1;
             Some((seq, session, picked))
         }
 
-        fn finish(&mut self, tenant: &str, session: u64, entered_execute: bool) {
+        fn finish(&mut self, tenant: &str, session: u64) {
             self.dispatched -= 1;
             self.drf.release(tenant);
-            let activity = self.sessions.get_mut(&session).expect("dispatched session");
-            *activity = (activity.0 - 1, activity.1 - usize::from(!entered_execute));
-            if activity.0 == 0 {
-                self.sessions.remove(&session);
-                *self.active.get_mut(tenant).expect("counted tenant") -= 1;
-            }
+            assert!(self.busy.remove(&session), "dispatched session");
+            *self.active.get_mut(tenant).expect("counted tenant") -= 1;
         }
     }
 
@@ -871,7 +747,7 @@ mod tests {
                 SchedulingPolicy::Priority => DrfAllocator::new(cores, storage),
             },
             queue: Vec::new(),
-            sessions: HashMap::new(),
+            busy: HashSet::new(),
             active: HashMap::new(),
             dispatched: 0,
             audit: FairnessAudit::default(),
@@ -879,10 +755,10 @@ mod tests {
             gap_scaled: 0,
         };
         let mut q = AdmissionQueue::with_policy(caps, policy, cores, storage);
-        // Every ticket ever issued, by seq; and per session the dispatched
-        // jobs in order as `(tenant, entered execute)`.
+        // Every ticket ever issued, by seq; and the tenant of each session
+        // with a dispatched job.
         let mut tickets: Vec<(u64, Arc<TicketState>)> = Vec::new();
-        let mut flight: BTreeMap<u64, VecDeque<(String, bool)>> = BTreeMap::new();
+        let mut flight: BTreeMap<u64, String> = BTreeMap::new();
         for event in 0..events {
             let at = format!("seed {seed} fair {fair} heavy {heavy} event {event}");
             match rng.next_below(20) {
@@ -900,32 +776,16 @@ mod tests {
                     let got = q.pick().map(|job| (job.seq, job.session_id, job.tenant));
                     assert_eq!(got, spec.pick(), "{at}: pick");
                     if let Some((_, session, tenant)) = got {
-                        flight.entry(session).or_default().push_back((tenant, false));
+                        assert!(flight.insert(session, tenant).is_none(), "{at}: second dispatch");
                     }
                 }
-                // A session's dispatched jobs advance in submission
-                // order: only its oldest may enter execution or retire.
-                13..=14 => {
-                    let planning: Vec<u64> =
-                        flight.iter().filter(|(_, f)| !f[0].1).map(|(s, _)| *s).collect();
-                    if !planning.is_empty() {
-                        let session = planning[rng.next_below(planning.len() as u64) as usize];
-                        flight.get_mut(&session).expect("in flight")[0].1 = true;
-                        q.mark_executing(session);
-                        spec.sessions.get_mut(&session).expect("dispatched").1 -= 1;
-                    }
-                }
-                15..=17 => {
+                13..=17 => {
                     if !flight.is_empty() {
                         let nth = rng.next_below(flight.len() as u64) as usize;
                         let session = *flight.keys().nth(nth).expect("in range");
-                        let jobs = flight.get_mut(&session).expect("in flight");
-                        let (tenant, entered) = jobs.pop_front().expect("non-empty");
-                        if jobs.is_empty() {
-                            flight.remove(&session);
-                        }
-                        q.finish(&tenant, session, entered);
-                        spec.finish(&tenant, session, entered);
+                        let tenant = flight.remove(&session).expect("in flight");
+                        q.finish(&tenant, session);
+                        spec.finish(&tenant, session);
                     }
                 }
                 18 => {
@@ -988,8 +848,7 @@ mod tests {
                 running.push_back(job);
             }
             let job = running.pop_front().expect("an undrained queue has dispatched work");
-            q.mark_executing(job.session_id);
-            q.finish(&job.tenant, job.session_id, true);
+            q.finish(&job.tenant, job.session_id);
             retired += 1;
         }
         assert_eq!((retired, q.fairness().picks, q.snapshot().queued), (50_000, 50_000, 0));

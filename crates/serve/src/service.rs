@@ -10,19 +10,18 @@
 //! ```text
 //! submit ──▶ bounded queue ──▶ pick (FIFO-with-priority or
 //!                      dominant-resource fair share, per-tenant +
-//!                      global caps, one in flight per session)
-//!                      ──▶ worker pool (`runner`): park until
-//!                      the session is free and a tenant-labeled core
-//!                      token grants ──▶ SessionDriver ──▶ fulfill
-//!                      ticket
+//!                      global caps, one dispatched job per session)
+//!                      ──▶ worker pool (`runner`): park until a
+//!                      tenant-labeled core token grants ──▶
+//!                      Session::run ──▶ fulfill ticket
 //! ```
 //!
 //! There is no scheduler thread: the pick is indexed (its cost does not
 //! grow with the backlog), so `dispatch` runs inline, under the
 //! scheduler lock, on whichever thread just made work eligible — the
-//! submitter after `enqueue`, a pool worker after `mark_executing` and
-//! after `finish`. Every such event dispatches until nothing more is
-//! eligible, so a queued job is always waiting on a dispatched one.
+//! submitter after `enqueue`, a pool worker after `finish`. Every such
+//! event dispatches until nothing more is eligible, so a queued job is
+//! always waiting on a dispatched one.
 //!
 //! **Lock order:** `sched → runner → budget` and `sched → catalog`,
 //! never the reverse — nothing takes the scheduler lock while holding
@@ -55,9 +54,7 @@ use crate::runner::{self, Runner};
 use crate::ticket::{JobOutcome, JobTicket, TicketState};
 use helix_common::timing::Nanos;
 use helix_common::{HelixError, Result, RingLog};
-use helix_core::{
-    IterationReport, Session, SessionConfig, SessionHandles, SpeculationInputs, Workflow,
-};
+use helix_core::{IterationReport, Session, SessionConfig, SessionHandles, Workflow};
 use helix_exec::CoreBudget;
 use helix_storage::EvictionRecord;
 use helix_storage::{DiskProfile, MaterializationCatalog, RecoveryStats};
@@ -246,7 +243,7 @@ pub(crate) struct ServiceInner {
     pub(crate) catalog: Arc<MaterializationCatalog>,
     pub(crate) budget: Arc<CoreBudget>,
     pub(crate) sched: Mutex<SchedState>,
-    /// The worker pool's parked-state-machine bookkeeping.
+    /// The worker pool's ready and parked jobs.
     pub(crate) runner: Runner,
     /// Submitters blocked on the bounded queue.
     pub(crate) space: Condvar,
@@ -272,8 +269,8 @@ pub struct HelixService {
 impl HelixService {
     /// Start a service: open (or create) the shared catalog, size the
     /// core budget, and launch the worker pool
-    /// (`min(cores, max_concurrent_iterations)` threads — sessions
-    /// beyond that park as state machines instead of holding threads).
+    /// (`min(cores, max_concurrent_iterations)` threads — jobs beyond
+    /// that park in the runner instead of holding threads).
     pub fn new(config: ServiceConfig) -> Result<HelixService> {
         let catalog = match &config.catalog_dir {
             Some(dir) => MaterializationCatalog::open(dir, config.disk)?,
@@ -309,7 +306,7 @@ impl HelixService {
             pick_hist: helix_obs::metrics::global().histogram("serve.pick_nanos"),
             config,
         });
-        // Core grants wake parked drivers instead of blocked threads: the
+        // Core grants wake parked jobs instead of blocked threads: the
         // budget calls this after every release, with no budget lock held.
         {
             let weak = Arc::downgrade(&inner);
@@ -426,7 +423,6 @@ impl HelixService {
         Ok(ServiceSession {
             inner: Arc::clone(&self.inner),
             session,
-            spec_slot: Arc::new(Mutex::new(None)),
             session_id,
             tenant: tenant.to_string(),
             track: format!("tenant-{tenant}").into(),
@@ -517,13 +513,18 @@ impl Drop for HelixService {
 /// Iterations of one session always run one-at-a-time in submission
 /// order (the session is stateful across iterations); sessions of the
 /// same or different tenants run concurrently up to the admission caps.
+///
+/// Admission dispatches at most one job per session, so a later job of a
+/// busy session waits in the admission queue, not in the worker pool,
+/// until the job ahead of it retires. A closed-loop client that keeps
+/// many jobs outstanding but waits only on its oldest ticket stalls
+/// behind that one job while later ones have already finished; its
+/// throughput comes out bimodal (the `serve_closed64` benchmark workload,
+/// 64 sessions, read 15k against 21k jobs/s that way). Sweep finished
+/// tickets with [`JobTicket::try_outcome`] and refill for each instead.
 pub struct ServiceSession {
     inner: Arc<ServiceInner>,
     session: Arc<Mutex<Session>>,
-    /// Speculation-snapshot mailbox shared with this session's jobs: an
-    /// iteration entering execution publishes here; its successor takes
-    /// it and plans ahead while the incumbent still runs.
-    spec_slot: Arc<Mutex<Option<SpeculationInputs>>>,
     session_id: u64,
     tenant: String,
     /// The tenant's trace track label, shared with every job.
@@ -566,7 +567,6 @@ impl ServiceSession {
             tenant_max_concurrent: cap,
             session_id: self.session_id,
             session: Arc::clone(&self.session),
-            spec_slot: Arc::clone(&self.spec_slot),
             wf,
             ticket: Arc::clone(&ticket),
             enqueued: Instant::now(),
@@ -637,9 +637,9 @@ pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &JobTicket) -> bool {
 
 /// Dispatch every job that is eligible right now: pick per the policy
 /// and hand each pick to the worker pool, which decides *where* it runs
-/// (a parked state machine — no per-job thread). Called with the
-/// scheduler lock held at the three events that can make work eligible
-/// (see the module docs); the pick decides *which* session advances.
+/// (a parked job — no per-job thread). Called with the scheduler lock
+/// held at the two events that can make work eligible (see the module
+/// docs); the pick decides *which* session advances.
 pub(crate) fn dispatch(inner: &ServiceInner, sched: &mut SchedState) {
     let mut picked_any = false;
     while sched.queue.can_dispatch() {
@@ -1148,7 +1148,7 @@ mod tests {
         let ran = (JOBS - cancelled.iter().filter(|c| **c).count()) as u64;
         assert_eq!(stats.fairness.picks, ran, "one pick per dispatched job");
         assert_eq!(stats.tenants.values().map(|t| t.iterations).sum::<u64>(), ran);
-        assert_eq!((stats.queue.queued, stats.queue.running, stats.queue.planning), (0, 0, 0));
+        assert_eq!((stats.queue.queued, stats.queue.running), (0, 0));
     }
 
     #[test]

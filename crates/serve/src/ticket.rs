@@ -6,27 +6,26 @@
 //! [`IterationReport`] plus the service-side timing split (queue wait vs
 //! run time) that the multi-tenant bench reports.
 //!
-//! ## Migrating from the blocking API
+//! ## Consuming a ticket
 //!
-//! Through PR 9 the only consumption patterns were `wait()` /
-//! `wait_outcome()` (block until done) and `is_done()` (peek). Those
-//! still work unchanged — `wait` is now a thin shim over the
-//! non-blocking surface — but open-loop clients that submit many
-//! iterations before collecting any should prefer:
+//! There are four ways, and a ticket yields its outcome exactly once,
+//! to whichever gets there first:
 //!
+//! * [`JobTicket::wait_outcome`] — block until the outcome arrives;
+//!   [`JobTicket::wait`] is the same, keeping only the report;
 //! * [`JobTicket::try_outcome`] — take the outcome if it has arrived,
-//!   never block (poll loops, latency samplers);
+//!   never block (poll loops, latency samplers, open-loop clients that
+//!   submit many iterations before collecting any);
 //! * [`JobTicket::wait_timeout`] — block up to a deadline, then give the
 //!   caller back control (SLO-bounded waits);
 //! * [`JobTicket::cancel`] — dequeue a job that has not dispatched yet;
 //!   its outcome arrives immediately with
 //!   [`JobOutcome::cancelled`]` == true` and an error result. A job
-//!   already executing finishes its iteration normally (iterations are
+//!   already dispatched finishes its iteration normally (iterations are
 //!   not interrupted mid-flight — the session's state must stay
 //!   consistent).
 //!
-//! `try_outcome` and `wait_timeout` *take* the outcome on success, like
-//! `wait_outcome`; a ticket yields its outcome exactly once.
+//! [`JobTicket::is_done`] peeks without taking the outcome.
 
 use crate::service::ServiceInner;
 use helix_common::timing::Nanos;
@@ -41,8 +40,8 @@ pub struct JobOutcome {
     /// was cancelled before dispatch).
     pub result: Result<IterationReport>,
     /// Time from submission to the iteration actually starting
-    /// (admission + every park while waiting for the session and a core
-    /// token). For a cancelled job: submission to cancellation.
+    /// (admission + every park while waiting for a core token). For a
+    /// cancelled job: submission to cancellation.
     pub queue_wait_nanos: Nanos,
     /// Time inside the session's prepare + execute phases.
     pub run_nanos: Nanos,
@@ -133,10 +132,8 @@ impl JobTicket {
         }
     }
 
-    /// Block until the iteration finishes; returns just the report.
-    /// (The original blocking surface, kept as a shim over
-    /// [`wait_outcome`](Self::wait_outcome) — see the module docs for
-    /// the non-blocking alternatives.)
+    /// Block until the iteration finishes; returns just the report
+    /// ([`wait_outcome`](Self::wait_outcome) without the timings).
     pub fn wait(self) -> Result<IterationReport> {
         self.wait_outcome().result
     }

@@ -66,8 +66,8 @@
 //!
 //! Durability is an append-only, hash-chained **journal**
 //! (`catalog.journal`, see [`crate::journal`]): every commit appends one
-//! O(entry) frame (`Upsert`/`Remove`/`Clear`) instead of rewriting a
-//! whole manifest, and artifact writes stay temp-file + atomic-rename.
+//! O(entry) frame (`Upsert`/`Remove`/`Clear`) instead of rewriting the
+//! whole index, and artifact writes stay temp-file + atomic-rename.
 //! Recovery is deterministic: scan the journal, verify CRC and chain
 //! linkage per frame, replay the longest valid prefix, then drop entries
 //! whose backing artifact file is missing. Torn tails are truncated,
@@ -1162,10 +1162,9 @@ impl MaterializationCatalog {
         // The remembered value *exactly* equals `estimate_load_nanos` for
         // the same size (no rounding), so an entry's planning cost is
         // identical before and after its first load — deterministic `l_i`
-        // across reruns, worker counts, and pipelining modes, and no
-        // spurious speculation read-set mismatch at the first-load
-        // boundary (wall-clock still pays the real, throttled cost
-        // above). The planner applies its own `max(1)` floor.
+        // across reruns, worker counts, and pipelining modes (wall-clock
+        // still pays the real, throttled cost above). The planner applies
+        // its own `max(1)` floor.
         let load_nanos = self.disk.estimate_load_nanos(bytes);
         {
             let mut inner = self.inner.lock();

@@ -105,11 +105,9 @@ fn pipelined_fingerprint(workers: usize) -> Vec<Outputs> {
     let mut session =
         Session::new(SessionConfig::in_memory().with_workers(workers).with_seed(SEED))
             .expect("session opens");
-    session
-        .run_pipelined(&iteration_workflows(workload_for(0)))
-        .expect("pipelined run")
+    iteration_workflows(workload_for(0))
         .iter()
-        .map(outputs_of)
+        .map(|wf| outputs_of(&session.run(wf).expect("pipelined run")))
         .collect()
 }
 

@@ -3,11 +3,11 @@
 //!
 //! * **Order independence** — background writes may land in *any*
 //!   interleaving (the writer races loads, restores, and releases);
-//!   final catalog contents, manifest contents, and loaded bytes must be
+//!   final catalog contents, journaled entries, and loaded bytes must be
 //!   identical to the serial inline-write engine regardless.
 //! * **Crash consistency** — a process killed at any point of the staged
-//!   protocol (after staging, mid-drain, before the manifest commit)
-//!   must recover to a consistent catalog: a parseable manifest, every
+//!   protocol (after staging, mid-drain, before the journal commit)
+//!   must recover to a consistent catalog: a replayable journal, every
 //!   referenced file present and readable, no stray temp or orphan
 //!   artifacts, and accounting that matches the entries.
 //! * **End-to-end** — a pipelined session's reports and catalog equal a
@@ -89,7 +89,7 @@ proptest! {
             let (got, _) = cat.load(*sig).unwrap();
             prop_assert_eq!(encode_value(&got), encode_value(value));
         }
-        // The sealed manifest round-trips through a fresh process.
+        // The sealed journal round-trips through a fresh process.
         let root = cat.root().to_path_buf();
         drop(cat);
         let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
@@ -97,7 +97,7 @@ proptest! {
     }
 
     /// Kill the writer at a random point: some writes landed (in a random
-    /// order), some never did, the manifest commit may or may not have
+    /// order), some never did, the journal commit may or may not have
     /// happened. Reopening must always yield a consistent catalog.
     #[test]
     fn crash_at_any_point_of_the_background_drain_recovers_consistently(
@@ -150,7 +150,7 @@ proptest! {
         // Accounting matches the recovered entry set exactly.
         let total: u64 = reopened.entries().iter().map(|e| e.bytes).sum();
         prop_assert_eq!(reopened.total_bytes(), total);
-        // And the uncommitted-manifest case loses at most the staged
+        // And the uncommitted-journal case loses at most the staged
         // batch — never previously durable state (trivially true here:
         // the recovered set is a subset of what was staged and landed).
         prop_assert!(reopened.len() <= landed.max(if committed { landed } else { n }));
@@ -192,9 +192,10 @@ fn deep_write_backlog_across_iterations_matches_serial() {
         .collect();
 
     let mut pipelined = Session::new(config).unwrap();
-    let reports = pipelined.run_pipelined(&sequence).unwrap();
-    let pipelined_outputs: Vec<Option<f64>> =
-        reports.iter().map(|r| r.output_scalar("c").and_then(Scalar::as_f64)).collect();
+    let pipelined_outputs: Vec<Option<f64>> = sequence
+        .iter()
+        .map(|wf| pipelined.run(wf).unwrap().output_scalar("c").and_then(Scalar::as_f64))
+        .collect();
     assert_eq!(serial_outputs, pipelined_outputs);
 
     pipelined.sync().unwrap();
