@@ -115,11 +115,11 @@ impl Operator for Learner {
             }
             Algo::Word2Vec { dim, epochs } => {
                 let units = input.as_collection()?.as_units()?;
-                let sentences: Vec<Vec<String>> = units
+                let sentences: Vec<&[String]> = units
                     .units
                     .iter()
                     .filter_map(|u| match &u.features {
-                        FeatureBundle::Tokens(ts) if !ts.is_empty() => Some(ts.clone()),
+                        FeatureBundle::Tokens(ts) if !ts.is_empty() => Some(ts.as_slice()),
                         _ => None,
                     })
                     .collect();
