@@ -27,13 +27,17 @@
 //! parks *while holding the runner lock*, and the notifier takes the
 //! runner lock before re-probing the budget. The budget calls the
 //! notifier with its own lock already dropped, so the nesting is
-//! cycle-free. The notifier's fast path breaks the argument, though: it
-//! reads `core_waiters_len` *without* the runner lock and returns when
-//! it is zero, and a parking worker stores the new length only after its
-//! `try_acquire` failed. A release that lands in that window (try
-//! failed, length not yet stored) finds no waiters and skips the lock,
-//! so the job stays parked until some later release — and hangs if none
-//! comes. ROADMAP item 0 (F0) closes this window. The scheduler lock
+//! cycle-free. The notifier's fast path reads `core_waiters_len`
+//! *without* the runner lock and returns when it is zero, so a release
+//! that lands after a parking worker's failed `try_acquire` but before
+//! it stores the new length finds no waiters. The parking worker closes
+//! that window itself: after the store, still under the runner lock, it
+//! re-probes the budget for the queue front ([`Runner::promote_locked`],
+//! the notifier's own loop). Either the release's token was back in the
+//! budget before that probe, which then takes it, or the release came
+//! after it; then the store happened before the probe's budget lock,
+//! which happened before the release's, so the notifier's load sees a
+//! non-zero length and takes the slow path. The scheduler lock
 //! sits *above* both (`dispatch` calls [`Runner::submit`] under it): no
 //! path here takes it while holding the runner lock or a budget lock.
 //!
@@ -94,6 +98,10 @@ pub(crate) struct Runner {
     /// `serve.sessions_parked`: core waiters right now.
     parked_gauge: Gauge,
     pool_size: usize,
+    /// Runs once, in a parking worker, between its failed `try_acquire`
+    /// and the `core_waiters_len` store: the window the re-probe closes.
+    #[cfg(test)]
+    pub(crate) park_pause: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl Runner {
@@ -110,6 +118,8 @@ impl Runner {
             core_waiters_len: AtomicUsize::new(0),
             parked_gauge: helix_obs::metrics::global().gauge("serve.sessions_parked"),
             pool_size: pool_size.max(1),
+            #[cfg(test)]
+            park_pause: Mutex::new(None),
         }
     }
 
@@ -145,6 +155,16 @@ impl Runner {
             return;
         }
         let mut state = self.lock();
+        let promoted = self.promote_locked(&mut state, inner);
+        drop(state);
+        self.notify_ready(promoted);
+    }
+
+    /// Move core waiters front-to-back to `ready` while the budget grants
+    /// them a token, publishing the new length if any moved; returns how
+    /// many moved. The caller holds the runner lock and wakes that many
+    /// workers after dropping it.
+    fn promote_locked(&self, state: &mut RunnerState, inner: &ServiceInner) -> usize {
         let mut promoted = 0usize;
         while let Some(front) = state.core_waiters.front() {
             match inner.budget.try_acquire_one_labeled_owned(&front.job.tenant) {
@@ -159,11 +179,14 @@ impl Runner {
         }
         if promoted > 0 {
             self.core_waiters_len.store(state.core_waiters.len(), Ordering::Release);
-            self.record_parked(&state);
-            drop(state);
-            for _ in 0..promoted {
-                self.ready_cv.notify_one();
-            }
+            self.record_parked(state);
+        }
+        promoted
+    }
+
+    fn notify_ready(&self, promoted: usize) {
+        for _ in 0..promoted {
+            self.ready_cv.notify_one();
         }
     }
 
@@ -238,17 +261,27 @@ fn advance(inner: &Arc<ServiceInner>, mut rj: RunnerJob) {
             .session(rj.job.session_id);
     }
     // The iteration's base core token. The park check runs under the
-    // runner lock (lock order: runner → budget), so a concurrent
-    // release either grants here or its notifier finds the job parked.
+    // runner lock (lock order: runner → budget). A release that races
+    // the failed try may skip the notifier's slow path (the length is
+    // still zero), so once parked the job re-probes the budget itself:
+    // a concurrent release either grants here, or grants on the
+    // re-probe, or its notifier finds the job parked.
     if rj.lease.is_none() {
         let mut state = inner.runner.lock();
         match inner.budget.try_acquire_one_labeled_owned(&rj.job.tenant) {
             Some(lease) => rj.lease = Some(lease),
             None => {
+                #[cfg(test)]
+                if let Some(pause) = inner.runner.park_pause.lock().expect("pause").take() {
+                    pause();
+                }
                 rj.parked_at = Some(Instant::now());
                 state.core_waiters.push_back(rj);
                 inner.runner.core_waiters_len.store(state.core_waiters.len(), Ordering::Release);
                 inner.runner.record_parked(&state);
+                let promoted = inner.runner.promote_locked(&mut state, inner);
+                drop(state);
+                inner.runner.notify_ready(promoted);
                 return;
             }
         }

@@ -824,6 +824,28 @@ mod tests {
         assert!(stats.peak_cores_leased <= stats.cores_total);
     }
 
+    /// A core token released after a parking worker's failed try but
+    /// before it publishes the new waiter count still reaches the parked
+    /// job (the release's notifier sees no waiters and skips the lock).
+    #[test]
+    fn a_release_inside_the_park_window_still_grants_the_parked_job() {
+        let svc = service(1);
+        svc.register_tenant("alice", TenantSpec::default()).unwrap();
+        let session = svc.open_session("alice", SessionConfig::in_memory()).unwrap();
+        // Hold the only token and hand it back inside the window.
+        let held = svc.core_budget().try_acquire_one_labeled_owned("test").expect("a free token");
+        *svc.inner.runner.park_pause.lock().unwrap() = Some(Box::new(move || drop(held)));
+        let ticket = session.submit(chain(1)).unwrap();
+        let outcome = ticket.wait_timeout(std::time::Duration::from_secs(10));
+        if outcome.is_none() {
+            // The wakeup was lost: a fresh release promotes the job so the
+            // service can drain on drop, and the test fails below.
+            drop(svc.core_budget().try_acquire_one());
+        }
+        let report = outcome.expect("the parked job never got the released token").result.unwrap();
+        assert_eq!(report.output_scalar("c").unwrap().as_f64(), Some(11.0));
+    }
+
     #[test]
     fn unknown_or_duplicate_tenants_are_rejected() {
         let svc = service(1);

@@ -112,10 +112,10 @@ fn concurrent_tenants_match_solo_serial_at_every_core_count() {
                             .expect("session opens");
                         // Submit the whole schedule up front: successive
                         // iterations of one session queue behind each
-                        // other, which is exactly the shape where the
-                        // scheduler overlaps iteration t+1's planning
-                        // with t's execution (execute-phase-only
-                        // in-flight semantics). Results must not notice.
+                        // other in admission, and each dispatches only
+                        // when the one ahead of it retires, while the
+                        // other tenants' jobs run and park around it.
+                        // Results must not notice.
                         let tickets: Vec<_> = iteration_workflows(workload_for(ix))
                             .into_iter()
                             .map(|wf| session.submit(wf).expect("submission accepted"))
