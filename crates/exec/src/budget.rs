@@ -14,10 +14,12 @@
 //!
 //! Two acquisition modes keep this deadlock-free:
 //!
-//! * [`CoreBudget::acquire_one`] — *blocking*, used exactly once per
-//!   running iteration (by the service's job runner). Leases are RAII and
+//! * [`CoreBudget::acquire_one_labeled`] — *blocking*, used at most once
+//!   per running iteration: a service pool worker that found no free
+//!   token ([`CoreBudget::try_acquire_one_labeled`]) waits here, on its
+//!   own stack, for its iteration's base token. Leases are RAII and
 //!   always released, so a blocked acquirer always eventually gets its
-//!   token.
+//!   token; blocked acquirers wake in condvar order, not FIFO.
 //! * [`CoreBudget::try_acquire`] — *non-blocking*, used for all extra
 //!   parallelism (dispatch width, data-parallel chunks). A holder of the
 //!   base token never blocks waiting for more; it degrades gracefully to
@@ -30,7 +32,7 @@
 //! tokens it asked for.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// A shared budget of core tokens (semaphore with peak tracking).
 ///
@@ -47,15 +49,7 @@ pub struct CoreBudget {
     total: usize,
     state: Mutex<Counters>,
     released: Condvar,
-    /// Grant-notification hook: invoked after every release, outside the
-    /// budget lock. A pooled runner installs one so it can *park* a
-    /// session waiting for a token (promoting it when capacity frees)
-    /// instead of blocking an OS thread in [`acquire_one`].
-    notifier: Mutex<Option<ReleaseNotifier>>,
 }
-
-/// The callback [`CoreBudget::set_release_notifier`] installs.
-pub type ReleaseNotifier = Arc<dyn Fn() + Send + Sync>;
 
 impl std::fmt::Debug for CoreBudget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -86,17 +80,7 @@ impl CoreBudget {
             total: total.max(1),
             state: Mutex::new(Counters { leased: 0, peak: 0, by_label: HashMap::new() }),
             released: Condvar::new(),
-            notifier: Mutex::new(None),
         }
-    }
-
-    /// Install (or clear) the release-notification hook. The callback
-    /// runs after *every* token release, with no budget lock held, so it
-    /// may freely call back into [`try_acquire_one`](Self::try_acquire_one)
-    /// and friends. At most one notifier is active; installing replaces
-    /// the previous one.
-    pub fn set_release_notifier(&self, notifier: Option<ReleaseNotifier>) {
-        *self.notifier.lock().expect("budget notifier poisoned") = notifier;
     }
 
     /// Total tokens in the budget.
@@ -146,6 +130,18 @@ impl CoreBudget {
         while state.leased >= self.total {
             state = self.released.wait(state).expect("budget poisoned");
         }
+        self.grant_one(&mut state, label)
+    }
+
+    /// Non-blocking counterpart of
+    /// [`acquire_one_labeled`](Self::acquire_one_labeled); `None` when the
+    /// budget is exhausted.
+    pub fn try_acquire_one_labeled(&self, label: &str) -> Option<CoreLease<'_>> {
+        let mut state = self.state.lock().expect("budget poisoned");
+        (state.leased < self.total).then(|| self.grant_one(&mut state, Some(label.to_string())))
+    }
+
+    fn grant_one(&self, state: &mut Counters, label: Option<String>) -> CoreLease<'_> {
         state.leased += 1;
         state.peak = state.peak.max(state.leased);
         if let Some(label) = &label {
@@ -162,26 +158,6 @@ impl CoreBudget {
     pub fn try_acquire_one(&self) -> Option<CoreLease<'_>> {
         let lease = self.try_acquire(1);
         (lease.tokens() == 1).then_some(lease)
-    }
-
-    /// Non-blocking, label-attributed counterpart of
-    /// [`acquire_one_labeled`](Self::acquire_one_labeled), returning an
-    /// *owned* lease (`Arc`-backed, so it can be parked with a waiting
-    /// session and released from whichever worker thread resumes it).
-    /// `None` when the budget is exhausted — the pooled runner's cue to
-    /// park the session on the grant queue instead of blocking a thread.
-    pub fn try_acquire_one_labeled_owned(self: &Arc<Self>, label: &str) -> Option<OwnedCoreLease> {
-        let mut state = self.state.lock().expect("budget poisoned");
-        if state.leased >= self.total {
-            return None;
-        }
-        state.leased += 1;
-        state.peak = state.peak.max(state.leased);
-        let count = state.by_label.entry(label.to_string()).or_default();
-        count.leased += 1;
-        count.peak = count.peak.max(count.leased);
-        drop(state);
-        Some(OwnedCoreLease { budget: Arc::clone(self), tokens: 1, label: Some(label.to_string()) })
     }
 
     /// Lease up to `max` tokens without blocking; the lease may hold zero.
@@ -206,13 +182,6 @@ impl CoreBudget {
         }
         drop(state);
         self.released.notify_all();
-        // Grant notification runs dead last, with no budget lock held:
-        // the callback may re-enter `try_acquire*` without deadlock, and
-        // blocking acquirers were already woken through the condvar.
-        let notifier = self.notifier.lock().expect("budget notifier poisoned").clone();
-        if let Some(notifier) = notifier {
-            notifier();
-        }
     }
 }
 
@@ -233,30 +202,6 @@ impl CoreLease<'_> {
 }
 
 impl Drop for CoreLease<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.tokens, self.label.as_deref());
-    }
-}
-
-/// An owned (Arc-backed) RAII lease, for holders that outlive any one
-/// stack frame — a parked session's granted token travels with the
-/// session through the runner's queues and is released wherever the
-/// session finishes. Identical accounting to [`CoreLease`].
-#[derive(Debug)]
-pub struct OwnedCoreLease {
-    budget: Arc<CoreBudget>,
-    tokens: usize,
-    label: Option<String>,
-}
-
-impl OwnedCoreLease {
-    /// Number of tokens this lease holds.
-    pub fn tokens(&self) -> usize {
-        self.tokens
-    }
-}
-
-impl Drop for OwnedCoreLease {
     fn drop(&mut self) {
         self.budget.release(self.tokens, self.label.as_deref());
     }
@@ -306,46 +251,19 @@ mod tests {
     }
 
     #[test]
-    fn owned_leases_account_and_release_like_borrowed_ones() {
-        let budget = Arc::new(CoreBudget::new(2));
-        let a = budget.try_acquire_one_labeled_owned("alice").expect("token free");
+    fn try_acquire_one_labeled_grants_refuses_and_accounts_per_label() {
+        let budget = CoreBudget::new(2);
+        let a = budget.try_acquire_one_labeled("alice").expect("token free");
         assert_eq!(a.tokens(), 1);
         assert_eq!(budget.leased_for("alice"), 1);
-        let b = budget.try_acquire_one_labeled_owned("bob").expect("token free");
-        assert!(budget.try_acquire_one_labeled_owned("carol").is_none(), "budget exhausted");
-        // Owned leases can outlive the acquiring frame and release from
-        // another thread.
-        let handle = std::thread::spawn(move || drop(a));
-        handle.join().unwrap();
+        let b = budget.try_acquire_one_labeled("bob").expect("token free");
+        assert!(budget.try_acquire_one_labeled("carol").is_none(), "budget exhausted");
+        assert_eq!(budget.leased_for("carol"), 0, "a refusal leases nothing");
+        drop(a);
         drop(b);
         assert_eq!(budget.leased(), 0);
         assert_eq!(budget.leased_for("alice"), 0);
         assert_eq!(budget.peak_leased_for("alice"), 1);
-    }
-
-    #[test]
-    fn release_notifier_fires_after_every_release_without_the_lock() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let budget = Arc::new(CoreBudget::new(1));
-        let fired = Arc::new(AtomicUsize::new(0));
-        {
-            let budget = Arc::downgrade(&budget);
-            let fired = Arc::clone(&fired);
-            budget.upgrade().unwrap().set_release_notifier(Some(Arc::new(move || {
-                // Re-entering the budget's lock from the notifier must
-                // not deadlock: grant promotion calls try_acquire here.
-                if let Some(budget) = budget.upgrade() {
-                    assert_eq!(budget.leased(), 0);
-                }
-                fired.fetch_add(1, Ordering::SeqCst);
-            })));
-        }
-        drop(budget.acquire_one());
-        drop(budget.try_acquire(1));
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "one notification per release");
-        budget.set_release_notifier(None);
-        drop(budget.acquire_one());
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "cleared notifier stays silent");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod memory;
 pub mod metrics;
 pub mod pool;
 
-pub use budget::{CoreBudget, CoreLease, OwnedCoreLease, ReleaseNotifier};
+pub use budget::{CoreBudget, CoreLease};
 pub use cache::SharedValueCache;
 pub use memory::{MemoryTracker, SharedMemoryTracker};
 pub use metrics::{interval_union_nanos, IterationMetrics, NodeRun, Phase, RunState};

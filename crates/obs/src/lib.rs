@@ -50,10 +50,10 @@ pub mod layer {
     /// `core::pipeline` lanes: background writer, prefetch.
     pub const PIPELINE: &str = "pipeline";
     /// Serve admission + runner: `admission.queued` (enqueue→pick, DRF
-    /// share at pick), `session.park` (retrospective at resume: time a
-    /// job sat parked for a core token), `runner.resume` (park→iteration
-    /// handoff on a pool worker), `execute`; gauge
-    /// `serve.sessions_parked` tracks the live core wait-set depth.
+    /// share at pick), `session.park` (a pool worker blocked on the core
+    /// budget for a job's token; only jobs that found none free), `execute`;
+    /// gauge `serve.sessions_parked` counts the jobs waiting for a core
+    /// token right now.
     pub const SERVE: &str = "serve";
     /// Storage: journal append/compact/fsync, eviction, recovery replay.
     pub const STORAGE: &str = "storage";

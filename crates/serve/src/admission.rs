@@ -17,8 +17,8 @@
 //!
 //! 1. the global concurrency cap has head-room
 //!    ([`AdmissionCaps::max_concurrent_iterations`], counted over all
-//!    dispatched jobs, parked ones included — the worker pool, not this
-//!    cap, bounds threads),
+//!    dispatched jobs, ready or waiting for a core token included — the
+//!    worker pool, not this cap, bounds threads),
 //! 2. its tenant is under its own concurrency cap
 //!    ([`TenantSpec::max_concurrent`](crate::TenantSpec), counted over
 //!    *sessions with a dispatched job*), and
@@ -132,7 +132,7 @@ pub(crate) struct AdmissionQueue {
     sessions: HashMap<u64, SessionLane>,
     /// Jobs waiting in session FIFOs — what `queue_capacity` bounds.
     queued: usize,
-    /// All dispatched, unfinished jobs (parked or running) — what the
+    /// All dispatched, unfinished jobs (ready, waiting or running) — what the
     /// global cap bounds.
     dispatched_total: usize,
     next_seq: u64,
@@ -420,7 +420,7 @@ impl AdmissionQueue {
 pub struct QueueSnapshot {
     /// Jobs waiting for dispatch.
     pub queued: usize,
-    /// Dispatched, unfinished iterations (running or parked on a core).
+    /// Dispatched, unfinished iterations (running or waiting for a core).
     pub running: usize,
     /// The bounded queue's capacity.
     pub queue_capacity: usize,

@@ -11,8 +11,9 @@
 //! submit ──▶ bounded queue ──▶ pick (FIFO-with-priority or
 //!                      dominant-resource fair share, per-tenant +
 //!                      global caps, one dispatched job per session)
-//!                      ──▶ worker pool (`runner`): park until a
-//!                      tenant-labeled core token grants ──▶
+//!                      ──▶ worker pool (`runner`): the worker takes
+//!                      a tenant-labeled core token, waiting on the
+//!                      budget if none is free ──▶
 //!                      Session::run ──▶ fulfill ticket
 //! ```
 //!
@@ -23,10 +24,10 @@
 //! event dispatches until nothing more is eligible, so a queued job is
 //! always waiting on a dispatched one.
 //!
-//! **Lock order:** `sched → runner → budget` and `sched → catalog`,
-//! never the reverse — nothing takes the scheduler lock while holding
-//! the runner, budget or catalog lock (budget-release notifiers run with
-//! the budget lock dropped and never touch `sched`).
+//! **Lock order:** `sched → runner` and `sched → catalog`, never the
+//! reverse — nothing takes the scheduler lock while holding the runner
+//! or catalog lock. The budget lock is a leaf: nothing else is taken
+//! while it is held.
 //!
 //! Core accounting: the runner's base token covers the engine's
 //! coordinator; the engine and its data-parallel operators lease any
@@ -243,7 +244,7 @@ pub(crate) struct ServiceInner {
     pub(crate) catalog: Arc<MaterializationCatalog>,
     pub(crate) budget: Arc<CoreBudget>,
     pub(crate) sched: Mutex<SchedState>,
-    /// The worker pool's ready and parked jobs.
+    /// The worker pool's ready jobs.
     pub(crate) runner: Runner,
     /// Submitters blocked on the bounded queue.
     pub(crate) space: Condvar,
@@ -270,7 +271,7 @@ impl HelixService {
     /// Start a service: open (or create) the shared catalog, size the
     /// core budget, and launch the worker pool
     /// (`min(cores, max_concurrent_iterations)` threads — jobs beyond
-    /// that park in the runner instead of holding threads).
+    /// that wait in the runner's ready queue instead of holding threads).
     pub fn new(config: ServiceConfig) -> Result<HelixService> {
         let catalog = match &config.catalog_dir {
             Some(dir) => MaterializationCatalog::open(dir, config.disk)?,
@@ -306,16 +307,6 @@ impl HelixService {
             pick_hist: helix_obs::metrics::global().histogram("serve.pick_nanos"),
             config,
         });
-        // Core grants wake parked jobs instead of blocked threads: the
-        // budget calls this after every release, with no budget lock held.
-        {
-            let weak = Arc::downgrade(&inner);
-            inner.budget.set_release_notifier(Some(Arc::new(move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.runner.promote_core_waiters(&inner);
-                }
-            })));
-        }
         let mut workers = Vec::with_capacity(inner.runner.pool_size());
         for i in 0..inner.runner.pool_size() {
             let inner = Arc::clone(&inner);
@@ -497,14 +488,12 @@ impl Drop for HelixService {
         // Every queued job waits on a dispatched one, and the worker
         // that retires it dispatches what became eligible, so the pool
         // alone empties the queue (a drained queue means no job is
-        // queued, dispatched, or parked).
+        // queued or dispatched).
         self.drain();
         self.inner.runner.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Unhook the grant notifier last: nothing is left to promote.
-        self.inner.budget.set_release_notifier(None);
     }
 }
 
@@ -637,7 +626,7 @@ pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &JobTicket) -> bool {
 
 /// Dispatch every job that is eligible right now: pick per the policy
 /// and hand each pick to the worker pool, which decides *where* it runs
-/// (a parked job — no per-job thread). Called with the scheduler lock
+/// (a ready job — no per-job thread). Called with the scheduler lock
 /// held at the two events that can make work eligible (see the module
 /// docs); the pick decides *which* session advances.
 pub(crate) fn dispatch(inner: &ServiceInner, sched: &mut SchedState) {
@@ -824,25 +813,31 @@ mod tests {
         assert!(stats.peak_cores_leased <= stats.cores_total);
     }
 
-    /// A core token released after a parking worker's failed try but
-    /// before it publishes the new waiter count still reaches the parked
-    /// job (the release's notifier sees no waiters and skips the lock).
+    /// A job that finds no free core token waits on the budget, and the
+    /// release of the token it waits for reaches it: it runs, and the
+    /// test fails within its bound instead of hanging if the wakeup is
+    /// lost.
     #[test]
     fn a_release_inside_the_park_window_still_grants_the_parked_job() {
         let svc = service(1);
         svc.register_tenant("alice", TenantSpec::default()).unwrap();
         let session = svc.open_session("alice", SessionConfig::in_memory()).unwrap();
-        // Hold the only token and hand it back inside the window.
-        let held = svc.core_budget().try_acquire_one_labeled_owned("test").expect("a free token");
-        *svc.inner.runner.park_pause.lock().unwrap() = Some(Box::new(move || drop(held)));
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        // Hold the only token until the job is waiting for it.
+        let held = svc.core_budget().try_acquire_one().expect("a free token");
         let ticket = session.submit(chain(1)).unwrap();
-        let outcome = ticket.wait_timeout(std::time::Duration::from_secs(10));
-        if outcome.is_none() {
-            // The wakeup was lost: a fresh release promotes the job so the
-            // service can drain on drop, and the test fails below.
-            drop(svc.core_budget().try_acquire_one());
+        while svc.inner.runner.waiting() != 1 && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let report = outcome.expect("the parked job never got the released token").result.unwrap();
+        let waited = svc.inner.runner.waiting() == 1;
+        drop(held);
+        let outcome = ticket.wait_timeout(deadline.saturating_duration_since(Instant::now()));
+        if !waited || outcome.is_none() {
+            // A job stuck on the budget would hang the service's drain.
+            std::mem::forget(svc);
+            panic!("the job never waited on the budget, or never got the released token");
+        }
+        let report = outcome.unwrap().result.unwrap();
         assert_eq!(report.output_scalar("c").unwrap().as_f64(), Some(11.0));
     }
 

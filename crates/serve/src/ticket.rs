@@ -40,7 +40,7 @@ pub struct JobOutcome {
     /// was cancelled before dispatch).
     pub result: Result<IterationReport>,
     /// Time from submission to the iteration actually starting
-    /// (admission + every park while waiting for a core token). For a
+    /// (admission, then any wait for a core token). For a
     /// cancelled job: submission to cancellation.
     pub queue_wait_nanos: Nanos,
     /// Time inside the session's prepare + execute phases.

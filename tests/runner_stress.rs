@@ -119,6 +119,9 @@ fn run_stress(sessions: usize) {
     }
 
     assert_eq!(completed, sessions, "{} of {sessions} jobs did not complete", sessions - completed);
+    // Quiescence: a worker returns its core token before it fulfils the
+    // ticket, so once every ticket resolved no token is still out.
+    assert_eq!(service.stats().cores_leased, 0, "a core token outlived its job");
     let peak_cores_leased = service.stats().peak_cores_leased;
     assert!(peak_cores_leased <= CORES, "core budget violated: peak {peak_cores_leased} > {CORES}");
     assert!(pool_size <= CORES, "pool never exceeds the core budget");
