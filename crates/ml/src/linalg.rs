@@ -68,6 +68,41 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// `out[i] = x · row(i)` for every `i` in `0..out.len()`, each summed over
+/// `k` in order from `zero`, exactly as a one-row loop sums it. Up to four
+/// of these independent sums advance together, so their add chains
+/// overlap instead of each waiting on the last add's latency. Every row
+/// must be at least as long as `x`; terms past `x.len()` are not read.
+///
+/// Interleaving *independent* sums keeps every bit. Reordering the terms
+/// of *one* sum (several accumulators per dot) does not, and is not done.
+#[inline]
+pub fn dots<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], zero: f64, out: &mut [f64]) {
+    for (c, out) in out.chunks_mut(4).enumerate() {
+        let r = |j: usize| row(4 * c + j);
+        match out.len() {
+            4 => out.copy_from_slice(&dot_n(x, [r(0), r(1), r(2), r(3)], zero)),
+            3 => out.copy_from_slice(&dot_n(x, [r(0), r(1), r(2)], zero)),
+            2 => out.copy_from_slice(&dot_n(x, [r(0), r(1)], zero)),
+            _ => out.copy_from_slice(&dot_n(x, [r(0)], zero)),
+        }
+    }
+}
+
+/// `N` dot products of `x` with rows at least its length, interleaved
+/// term by term; each sum runs over `k` in order from `zero`.
+#[inline]
+fn dot_n<const N: usize>(x: &[f64], rows: [&[f64]; N], zero: f64) -> [f64; N] {
+    let rows = rows.map(|row| &row[..x.len()]);
+    let mut acc = [zero; N];
+    for (k, &xk) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(rows) {
+            *a += xk * row[k];
+        }
+    }
+    acc
+}
+
 /// `a += b * scale` over equal-length dense slices.
 #[inline]
 pub fn axpy(a: &mut [f64], b: &[f64], scale: f64) {

@@ -12,13 +12,14 @@
 //! fit into a packed form every SGD step reads: one `(label, row)` per
 //! example in filter order, each sparse row's in-range entries back to
 //! back in a `u32` index slab and an `f64` value slab, and each dense
-//! row borrowed in place. A step then touches its row's slab slices
-//! instead of chasing an `Example`, then its `indices` `Vec`, then its
-//! `values` `Vec` in shuffled order, which is where the time went: the
-//! paper's Census LR trains on 97 features with about 6 set per row,
-//! and IE's on 11 with about 4. Packing copies values and drops only
-//! what the weight lookups skipped (indices `≥ dim`); the update
-//! sequence is the one an unpacked loop applies, bit for bit.
+//! row's first `dim` values borrowed in place. A step then touches its
+//! row's slab slices instead of chasing an `Example`, then its `indices`
+//! `Vec`, then its `values` `Vec` in shuffled order, which is where the
+//! time went: the paper's Census LR trains on 97 features with about 6
+//! set per row, and IE's on 11 with about 4. Packing copies values and
+//! drops only what the weight lookups and zips skipped (entries at
+//! `≥ dim`); the update sequence is the one an unpacked loop applies,
+//! bit for bit.
 //!
 //! One-vs-rest heads are independent, so `fit` splits them into
 //! contiguous groups, one per pool worker, and trains the groups on
@@ -26,8 +27,18 @@
 //! same seeded shuffle and applies exactly the serial update sequence to
 //! its heads, so the model is bit-identical at any pool width and any
 //! core grant.
+//!
+//! Within a group the heads are independent too: head `h`'s update reads
+//! and writes only `w_h` and `b_h`. So for each row a group first takes
+//! every head's `row · w_h`, on a dense row several heads' sums at once
+//! ([`linalg::dots`]), and then applies the updates in head order. Those
+//! dot products can wait on FP add latency together instead of one after
+//! another; MNIST's ten heads at dim 256 are that case. The rule that
+//! keeps every bit: independent sums may be interleaved, but one sum's
+//! term order may not change. [`LogisticRegression::scores`] interleaves
+//! its heads the same way.
 
-use crate::linalg::sigmoid;
+use crate::linalg::{self, sigmoid};
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::{Example, FeatureVector, LinearModel, Split};
 use helix_exec::WorkerPool;
@@ -85,7 +96,8 @@ impl LogisticRegression {
     }
 
     /// Train heads `range` with the serial SGD schedule: the same seeded
-    /// shuffle every group replays, and per row, each head in turn.
+    /// shuffle every group replays, and per row, every head's dot product
+    /// and then each head's update in turn.
     ///
     /// The L2 shrink is an eager pass over all `dim` weights per row per
     /// head; at the workloads' dims (97 for Census, 11 for IE) it costs
@@ -102,6 +114,8 @@ impl LogisticRegression {
         dim: usize,
     ) -> Vec<(Vec<f64>, f64)> {
         let mut heads: Vec<(Vec<f64>, f64)> = vec![(vec![0.0; dim], 0.0); range.len()];
+        // Per row, every head's `row · w` before any head's update.
+        let mut dots = vec![0.0; range.len()];
         let mut order: Vec<usize> = (0..train.rows.len()).collect();
         let mut rng = SplitMix64::new(self.seed);
         for epoch in 0..self.epochs {
@@ -110,7 +124,8 @@ impl LogisticRegression {
             let decay = 1.0 - lr * self.l2 / train.rows.len() as f64;
             for &i in &order {
                 let (label, row) = &train.rows[i];
-                for (h, (w, b)) in range.clone().zip(heads.iter_mut()) {
+                train.dots(row, &heads, &mut dots);
+                for ((h, (w, b)), dot) in range.clone().zip(heads.iter_mut()).zip(&dots) {
                     let target = if binary {
                         *label
                     } else if (*label as usize) == h {
@@ -118,7 +133,7 @@ impl LogisticRegression {
                     } else {
                         0.0
                     };
-                    let z = train.dot(row, w) + *b;
+                    let z = dot + *b;
                     let gradient = sigmoid(z) - target;
                     let scale = -lr * gradient;
                     match row {
@@ -157,12 +172,25 @@ impl LogisticRegression {
     /// Predicted probability (binary) or class scores (multiclass) for one
     /// feature vector.
     pub fn scores(model: &LinearModel, features: &FeatureVector) -> Vec<f64> {
-        model
-            .weights
-            .iter()
-            .zip(&model.bias)
-            .map(|(w, b)| sigmoid(features.dot_dense(w) + b))
-            .collect()
+        let weights = &model.weights[..model.weights.len().min(model.bias.len())];
+        let len = weights.first().map_or(0, Vec::len);
+        let mut scores = vec![0.0; weights.len()];
+        match features {
+            // `dot_dense`'s sums, several heads at once. Heads of unequal
+            // length would each stop at their own, so they go one by one.
+            FeatureVector::Dense(x) if weights.iter().all(|w| w.len() == len) => {
+                linalg::dots(&x[..x.len().min(len)], |h| &weights[h], 0.0, &mut scores);
+            }
+            _ => {
+                for (score, w) in scores.iter_mut().zip(weights) {
+                    *score = features.dot_dense(w);
+                }
+            }
+        }
+        for (score, b) in scores.iter_mut().zip(&model.bias) {
+            *score = sigmoid(*score + b);
+        }
+        scores
     }
 
     /// Hard prediction: probability threshold for binary, argmax for
@@ -195,7 +223,8 @@ impl LogisticRegression {
 
 /// One training row of a [`Packed`] set.
 enum Row<'a> {
-    /// A dense feature vector, borrowed from its example.
+    /// A dense feature vector's first `dim` values, borrowed from its
+    /// example.
     Dense(&'a [f64]),
     /// A sparse row's span of the packed index and value slabs.
     Sparse(Range<usize>),
@@ -218,7 +247,7 @@ impl<'a> Packed<'a> {
         for example in examples.iter().filter(|e| e.split == Split::Train) {
             let Some(label) = example.label else { continue };
             let row = match &example.features {
-                FeatureVector::Dense(x) => Row::Dense(x),
+                FeatureVector::Dense(x) => Row::Dense(&x[..x.len().min(dim)]),
                 FeatureVector::Sparse { indices, values, .. } => {
                     let start = packed.indices.len();
                     for (j, v) in indices.iter().zip(values).filter(|(j, _)| (**j as usize) < dim) {
@@ -237,14 +266,20 @@ impl<'a> Packed<'a> {
         (&self.indices[span.clone()], &self.values[span.clone()])
     }
 
-    /// `row · w`, summed in the row's order from `0.0` like
-    /// [`FeatureVector::dot_dense`].
-    fn dot(&self, row: &Row<'_>, w: &[f64]) -> f64 {
+    /// `out[h] = row · w_h` for every head, each summed in the row's order
+    /// from `0.0` like [`FeatureVector::dot_dense`]. A dense row's heads
+    /// advance together through [`linalg::dots`].
+    fn dots(&self, row: &Row<'_>, heads: &[(Vec<f64>, f64)], out: &mut [f64]) {
         match row {
-            Row::Dense(x) => x.iter().zip(w).fold(0.0, |acc, (x, w)| acc + x * w),
+            Row::Dense(x) => linalg::dots(x, |h| &heads[h].0, 0.0, out),
             Row::Sparse(span) => {
                 let (indices, values) = self.entries(span);
-                indices.iter().zip(values).fold(0.0, |acc, (j, v)| acc + v * w[*j as usize])
+                for ((w, _), out) in heads.iter().zip(out) {
+                    *out = indices
+                        .iter()
+                        .zip(values)
+                        .fold(0.0, |acc, (j, v)| acc + v * w[*j as usize]);
+                }
             }
         }
     }
@@ -524,17 +559,66 @@ mod tests {
                 12,
             ),
         ];
-        for (name, trainer, data, dim) in &cases {
-            let want = bits(&reference_fit(trainer, data, *dim));
+        // Dense multiclass: across widths 1/2/3/4/16 the head groups
+        // leave every remainder of the four-head interleave. Rows longer
+        // than `dim` (the zip stops at `dim`), as long, and shorter.
+        let interleaved = [3, 5, 9, 10, 17].map(|k| {
+            (
+                format!("{k}-class dense"),
+                LogisticRegression::default(),
+                dense(12 * k, k, &[9, 6, 4]),
+                6,
+            )
+        });
+        let cases = cases.into_iter().map(|(name, t, data, dim)| (name.to_string(), t, data, dim));
+        for (name, trainer, data, dim) in cases.chain(interleaved) {
+            let want = bits(&reference_fit(&trainer, &data, dim));
             for width in [1, 2, 3, 4, 16] {
-                let got = trainer.fit(&WorkerPool::new(width), data, *dim).unwrap();
+                let got = trainer.fit(&WorkerPool::new(width), &data, dim).unwrap();
                 assert_eq!(bits(&got), want, "{name} at pool width {width}");
             }
             // A budgeted pool granted no extra thread runs the same groups.
             let budget = std::sync::Arc::new(helix_exec::CoreBudget::new(1));
             let _held = budget.acquire_one();
             let starved = WorkerPool::budgeted(4, std::sync::Arc::clone(&budget));
-            assert_eq!(bits(&trainer.fit(&starved, data, *dim).unwrap()), want, "{name} starved");
+            assert_eq!(bits(&trainer.fit(&starved, &data, dim).unwrap()), want, "{name} starved");
+        }
+    }
+
+    #[test]
+    fn scores_are_bit_identical_to_per_head_dot_dense() {
+        let dim = 6;
+        let mut rng = SplitMix64::new(17);
+        let mut row = |len: usize| (0..len).map(|_| rng.next_gaussian()).collect::<Vec<f64>>();
+        // Binary, every remainder of the four-head interleave, and heads
+        // of unequal length (each stops at its own).
+        let models: Vec<LinearModel> =
+            [&[dim][..], &[dim; 3], &[dim; 5], &[dim; 10], &[dim; 17], &[dim, 4, dim]]
+                .into_iter()
+                .map(|lens| LinearModel {
+                    weights: lens.iter().map(|len| row(*len)).collect(),
+                    bias: row(lens.len()),
+                    dim: dim as u32,
+                })
+                .collect();
+        // Dense rows longer than `dim`, as long, shorter and empty; sparse
+        // rows with entries past `dim`, and an empty one.
+        let mut inputs: Vec<FeatureVector> =
+            [9, dim, 4, 0].into_iter().map(|len| FeatureVector::Dense(row(len))).collect();
+        inputs.push(FeatureVector::sparse_from_pairs(
+            9,
+            [0, 2, 5, 8].into_iter().zip(row(4)).collect(),
+        ));
+        inputs.push(FeatureVector::sparse_from_pairs(9, Vec::new()));
+        for model in &models {
+            for x in &inputs {
+                let want =
+                    model.weights.iter().zip(&model.bias).map(|(w, b)| sigmoid(x.dot_dense(w) + b));
+                let want: Vec<u64> = want.map(f64::to_bits).collect();
+                let got: Vec<u64> =
+                    LogisticRegression::scores(model, x).into_iter().map(f64::to_bits).collect();
+                assert_eq!(got, want, "{} heads on {x:?}", model.weights.len());
+            }
         }
     }
 }

@@ -12,6 +12,13 @@
 //!
 //! The map is `x ↦ sqrt(2/D) · cos(Wx + b)` with `W ~ N(0, γ)` rows and
 //! `b ~ U[0, 2π)`, approximating an RBF kernel.
+//!
+//! [`RandomFourierFeatures::transform`] takes the `D` projections `w·x`
+//! four at a time ([`crate::linalg::dots`]), so their add chains overlap
+//! instead of each waiting on FP add latency. The projections are
+//! independent sums and each keeps its own term order, so the features
+//! are those of a one-row-at-a-time loop, bit for bit. That is the rule:
+//! independent sums may be interleaved; one sum's order may not change.
 
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::{FeatureVector, TransformModel};
@@ -65,10 +72,13 @@ impl RandomFourierFeatures {
         }
         let dense = x.to_dense();
         let scale = (2.0 / dout as f64).sqrt();
-        let mut out = Vec::with_capacity(dout);
-        for row in 0..dout {
-            let w = &projection[row * din..(row + 1) * din];
-            out.push(scale * (crate::linalg::dot(w, &dense) + offsets[row]).cos());
+        // Each projection is `linalg::dot`'s sum: from `Iterator::sum`'s
+        // start value, over `k` in order. `dots` runs several at once.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let mut out = vec![0.0; dout];
+        crate::linalg::dots(&dense, |row| &projection[row * din..(row + 1) * din], zero, &mut out);
+        for (y, offset) in out.iter_mut().zip(offsets) {
+            *y = scale * (*y + offset).cos();
         }
         Ok(FeatureVector::Dense(out))
     }
@@ -110,6 +120,48 @@ mod tests {
         assert_ne!(a, b, "fresh nonce must deprecate the projection");
         let a2 = RandomFourierFeatures { seed: 1, ..Default::default() }.fit(5).unwrap();
         assert_eq!(a, a2, "same seed must replay exactly");
+    }
+
+    /// The specification of [`RandomFourierFeatures::transform`]: one
+    /// output row at a time, each a `linalg::dot` over the dense input.
+    fn reference_transform(model: &TransformModel, x: &FeatureVector) -> Vec<f64> {
+        let TransformModel::RandomFourier { projection, offsets, dim_in, dim_out } = model else {
+            unreachable!("fitted by RandomFourierFeatures")
+        };
+        let (din, dout) = (*dim_in as usize, *dim_out as usize);
+        let dense = x.to_dense();
+        let scale = (2.0 / dout as f64).sqrt();
+        let row = |r: usize| &projection[r * din..(r + 1) * din];
+        (0..dout).map(|r| scale * (crate::linalg::dot(row(r), &dense) + offsets[r]).cos()).collect()
+    }
+
+    #[test]
+    fn transform_is_bit_identical_to_the_serial_reference() {
+        // Output widths cover every remainder of the four-row interleave.
+        for dim_out in [1, 2, 3, 4, 5, 7, 96, 129] {
+            for dim_in in [1, 3, 256] {
+                let rff = RandomFourierFeatures { dim_out, gamma: 0.3, seed: dim_out as u64 };
+                let model = rff.fit(dim_in).unwrap();
+                let mut rng = SplitMix64::new(dim_in as u64);
+                let dense =
+                    FeatureVector::Dense((0..dim_in).map(|_| rng.next_gaussian()).collect());
+                // Every third coordinate set, and a zero vector whose sums
+                // are all signed zeros.
+                let pairs = (0..dim_in as u32).step_by(3).map(|j| (j, rng.next_gaussian()));
+                let sparse = FeatureVector::sparse_from_pairs(dim_in as u32, pairs.collect());
+                let empty = FeatureVector::sparse_from_pairs(dim_in as u32, Vec::new());
+                for (input, x) in [("dense", &dense), ("sparse", &sparse), ("zero", &empty)] {
+                    let got = RandomFourierFeatures::transform(&model, x).unwrap().to_dense();
+                    let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                    let want = reference_transform(&model, x);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{input} input, dim_out {dim_out}, dim_in {dim_in}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! model trained by one kernel from one trained by another. It waits for
 //! kernel versions in the signature (ROADMAP item 15).
 
-use crate::linalg::sigmoid;
+use crate::linalg::{self, sigmoid};
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::EmbeddingModel;
 use std::collections::HashMap;
@@ -194,7 +194,8 @@ impl Word2Vec {
                             let end = wave_end(&targets, start);
                             let wave = &targets[start..end];
                             let gs = &mut gs[..wave.len()];
-                            dots(center_vec, &s.output, wave, zero, gs);
+                            let row = |i: usize| &s.output[wave[i] * d..(wave[i] + 1) * d];
+                            linalg::dots(center_vec, row, zero, gs);
                             for (i, g) in gs.iter_mut().enumerate() {
                                 let label = if start + i == 0 { 1.0 } else { 0.0 };
                                 *g = (sigmoid(*g) - label) * lr;
@@ -245,34 +246,6 @@ fn wave_end(targets: &[usize], start: usize) -> usize {
         end += 1;
     }
     end
-}
-
-/// `scores[i] = x · output[wave[i]]`, each summed over `k` in order from
-/// `zero`. Up to four of these independent sums advance together.
-fn dots(x: &[f64], output: &[f64], wave: &[usize], zero: f64, scores: &mut [f64]) {
-    let d = x.len();
-    let row = |t: usize| &output[t * d..(t + 1) * d];
-    for (ts, out) in wave.chunks(4).zip(scores.chunks_mut(4)) {
-        match *ts {
-            [a, b, c, e] => out.copy_from_slice(&dot_n(x, [row(a), row(b), row(c), row(e)], zero)),
-            [a, b, c] => out.copy_from_slice(&dot_n(x, [row(a), row(b), row(c)], zero)),
-            [a, b] => out.copy_from_slice(&dot_n(x, [row(a), row(b)], zero)),
-            [a] => out.copy_from_slice(&dot_n(x, [row(a)], zero)),
-            _ => unreachable!("chunks(4) yields one to four targets"),
-        }
-    }
-}
-
-/// `N` dot products of `x` with rows of its length, interleaved term by
-/// term; each sum runs over `k` in order.
-fn dot_n<const N: usize>(x: &[f64], rows: [&[f64]; N], zero: f64) -> [f64; N] {
-    let mut acc = [zero; N];
-    for (k, &xk) in x.iter().enumerate() {
-        for (a, row) in acc.iter_mut().zip(rows) {
-            *a += xk * row[k];
-        }
-    }
-    acc
 }
 
 /// Build the negative-sampling table with probabilities ∝ count^0.75.

@@ -114,8 +114,8 @@ fn concurrent_tenants_match_solo_serial_at_every_core_count() {
                         // iterations of one session queue behind each
                         // other in admission, and each dispatches only
                         // when the one ahead of it retires, while the
-                        // other tenants' jobs run and park around it.
-                        // Results must not notice.
+                        // other tenants' jobs run and wait for core
+                        // tokens around it. Results must not notice.
                         let tickets: Vec<_> = iteration_workflows(workload_for(ix))
                             .into_iter()
                             .map(|wf| session.submit(wf).expect("submission accepted"))
@@ -198,10 +198,10 @@ fn eight_tenants_on_a_tight_budget_stay_within_two_cores() {
 fn sessions_multiplexed_over_a_two_slot_pool_stay_byte_identical() {
     // More tenants than the runner has worker slots: with
     // `max_concurrent_iterations = 2` the pool holds two workers, so six
-    // tenants' whole schedules multiplex through park/resume on the
-    // same two threads — every iteration crosses the runner's session
-    // claim and core grant at least once. Bytes must not notice the
-    // pooling, exactly as they must not notice co-tenants or core count.
+    // tenants' whole schedules take turns on the same two threads —
+    // every iteration waits in admission and takes a core token from the
+    // shared budget. Bytes must not notice the pooling, exactly as they
+    // must not notice co-tenants or core count.
     let tenants = 6;
     let pool = 2;
     let baselines: Vec<Vec<Outputs>> = (0..tenants).map(solo_serial_trace).collect();
