@@ -5,7 +5,7 @@
 //! * [`error`] — the workspace-wide error type and `Result` alias.
 //! * [`hash`] — a fast, *stable* (cross-run deterministic) 64/128-bit hasher
 //!   used for operator signatures and change tracking.
-//! * [`crc32`] — table-driven CRC-32 (IEEE) used by the storage codec.
+//! * [`crc32`] — slicing-by-16 CRC-32 (IEEE) used by the storage codec.
 //! * [`rng`] — a tiny deterministic PRNG (SplitMix64) for seeded workload
 //!   generation independent of external crates.
 //! * [`fmt`] — human-readable byte / duration formatting for reports.
