@@ -51,9 +51,15 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// Parameter rendering for declaration signatures.
+    /// Parameter rendering for declaration signatures: the algorithm, its
+    /// hyperparameters and, past version 1, its kernel version as a
+    /// `kernel=<v>` token. What a kernel computes is part of the
+    /// declaration (paper §4.2, Definition 2), so a bump changes the
+    /// signatures of exactly this learner's model and its descendants.
+    /// A version-1 kernel renders no token and so keeps the signatures
+    /// it had before versions existed.
     pub fn sig_params(&self) -> Vec<String> {
-        match self {
+        let mut params = match self {
             Algo::LogisticRegression { l2, epochs } => {
                 vec!["LR".into(), format!("l2={l2}"), format!("epochs={epochs}")]
             }
@@ -65,6 +71,20 @@ impl Algo {
             Algo::RandomFourier { dim_out, gamma } => {
                 vec!["RFF".into(), format!("dim_out={dim_out}"), format!("gamma={gamma}")]
             }
+        };
+        let version = self.kernel_version();
+        if version > 1 {
+            params.push(format!("kernel={version}"));
+        }
+        params
+    }
+
+    /// The version of the kernel that trains this algorithm's model. A
+    /// kernel change that moves any bit of a model bumps it.
+    fn kernel_version(&self) -> u32 {
+        match self {
+            Algo::Word2Vec { .. } => helix_ml::word2vec::KERNEL_VERSION,
+            _ => 1,
         }
     }
 
@@ -339,6 +359,64 @@ mod tests {
         let a = Algo::LogisticRegression { l2: 0.1, epochs: 5 }.sig_params();
         let b = Algo::LogisticRegression { l2: 0.2, epochs: 5 }.sig_params();
         assert_ne!(a, b);
+    }
+
+    fn every_algo() -> [Algo; 5] {
+        [
+            Algo::LogisticRegression { l2: 0.1, epochs: 5 },
+            Algo::KMeans { k: 4 },
+            Algo::Word2Vec { dim: 32, epochs: 4 },
+            Algo::NaiveBayes { alpha: 1.0 },
+            Algo::RandomFourier { dim_out: 64, gamma: 0.05 },
+        ]
+    }
+
+    #[test]
+    fn only_word2vec_renders_a_kernel_version() {
+        for algo in every_algo() {
+            let tokens = algo.sig_params();
+            let kernel: Vec<&String> = tokens.iter().filter(|t| t.starts_with("kernel=")).collect();
+            if matches!(algo, Algo::Word2Vec { .. }) {
+                let want = format!("kernel={}", helix_ml::word2vec::KERNEL_VERSION);
+                assert_eq!(kernel, [&want], "{algo:?}");
+                assert!(algo.kernel_version() > 1);
+            } else {
+                assert!(kernel.is_empty(), "{algo:?} renders {kernel:?}");
+                assert_eq!(algo.kernel_version(), 1, "{algo:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_word2vec_bump_moves_only_word2vec_signatures() {
+        use crate::operator::decl_signature;
+        let mut wf = crate::dsl::Workflow::new("kernels");
+        let data = wf.source("data", 1, |_| Ok(Value::examples(blob_examples(4))));
+        let decl_sig = |wf: &crate::dsl::Workflow, name: &str| {
+            wf.dag().payload(wf.node_by_name(name).unwrap()).decl_sig
+        };
+        for (name, algo) in
+            ["model", "kmeans", "word2vec", "nb", "rff"].into_iter().zip(every_algo())
+        {
+            wf.learner(name, data, algo);
+        }
+        let pre_bump = decl_signature("Learner", &["word2vec", "Word2Vec", "dim=32", "epochs=4"]);
+        assert_ne!(decl_sig(&wf, "word2vec"), pre_bump, "the new kernel must not load old models");
+        // Every version-1 learner keeps the signature it had before kernel
+        // versions existed, so its catalog entries stay valid.
+        let unchanged: [&[&str]; 4] = [
+            &["model", "LR", "l2=0.1", "epochs=5"],
+            &["kmeans", "KMeans", "k=4"],
+            &["nb", "NB", "alpha=1"],
+            &["rff", "RFF", "dim_out=64", "gamma=0.05"],
+        ];
+        for rendered in unchanged {
+            assert_eq!(
+                decl_sig(&wf, rendered[0]),
+                decl_signature("Learner", rendered),
+                "{rendered:?}"
+            );
+        }
     }
 
     #[test]

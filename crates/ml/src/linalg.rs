@@ -74,8 +74,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// overlap instead of each waiting on the last add's latency. Every row
 /// must be at least as long as `x`; terms past `x.len()` are not read.
 ///
-/// Interleaving *independent* sums keeps every bit. Reordering the terms
-/// of *one* sum (several accumulators per dot) does not, and is not done.
+/// Interleaving *independent* sums keeps every bit, so RFF and LR, its
+/// callers, keep their kernel version. Reordering the terms of *one* sum
+/// (several accumulators per dot) changes bits: a kernel that does so
+/// bumps its kernel version, as word2vec's eight-lane dot did.
 #[inline]
 pub fn dots<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], zero: f64, out: &mut [f64]) {
     for (c, out) in out.chunks_mut(4).enumerate() {

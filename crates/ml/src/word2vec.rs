@@ -9,41 +9,49 @@
 //! * linear learning-rate decay over epochs;
 //! * input and output embedding matrices, input returned.
 //!
-//! # The update order is the specification
+//! # The update order and the arithmetic are the specification
 //!
-//! A model's bits are those of one serial sequence. For each epoch,
-//! sentence and center word in order, the center draws its window radius,
-//! and then each (center, context) *pair* in the window, in order:
+//! A model's bits are those of one serial sequence in `f32`; the input
+//! matrix is widened to `f64` once, when the model is returned. The
+//! initial input rows are the `f64` draws of the seeded stream, narrowed
+//! to `f32`; the output rows start at zero, and each epoch's learning rate
+//! is computed in `f64` and narrowed. For each epoch, sentence and center
+//! word in order, the center draws its window radius, and then each
+//! (center, context) *pair* in the window, in order:
 //!
 //! 1. draws `negatives` targets from the unigram table and drops each one
 //!    equal to the context. The context is sample 0 (label 1); the kept
 //!    negatives follow in draw order (label 0);
 //! 2. for each sample in order, computes `score = input[center] ·
-//!    output[target]` summed over `k = 0..dim` in order, then `g =
-//!    (sigmoid(score) − label)·lr`, then for each `k` applies `gradient[k]
-//!    += g·output[target][k]` and `output[target][k] −= g·input[center][k]`;
+//!    output[target]` in eight lanes: lane `l` sums the terms `k ≡ l (mod
+//!    8)` in order of `k`, from zero, and the lanes reduce as `((a0 + a4) +
+//!    (a2 + a6)) + ((a1 + a5) + (a3 + a7))`. Then `g = (sigmoid(score) −
+//!    label)·lr`, with the exact sigmoid (no lookup table), and for each
+//!    `k` it applies `gradient[k] += g·output[target][k]` and
+//!    `output[target][k] −= g·input[center][k]`;
 //! 3. applies `input[center] −= gradient`.
 //!
-//! [`Word2Vec::fit`] produces exactly these bits without waiting for each
-//! sample's update before the next dot product starts. It splits a pair's
-//! samples into *waves*: maximal runs in which no output row repeats. A
-//! wave computes all its dot products first, several at a time so that
-//! their independent add chains overlap, and then applies its updates in
-//! sample order. That keeps every bit because an update writes only its
-//! own output row and `gradient`, which no other dot product of the wave
-//! reads, and `input[center]` does not change until the pair ends. A
-//! repeated target starts a new wave, so its dot product sees the earlier
-//! update. Each dot product keeps its own summation order.
+//! [`Word2Vec::fit`] stores each row as `NB = dim.div_ceil(8)` blocks of
+//! eight lanes, a compile-time `NB` for every dim up to 64, so that the
+//! lanes of a dot product and of an update map onto vector registers.
+//! The padding lanes hold zero and stay zero through every update, and a
+//! zero term leaves a lane sum unchanged, so the padding changes no bit.
+//! Wider dims run the same arithmetic over plain slices.
 //!
-//! Reordering the terms of one dot product (a multi-lane dot) would be
-//! faster still, but it changes bits, and a catalog cannot yet tell a
-//! model trained by one kernel from one trained by another. It waits for
-//! kernel versions in the signature (ROADMAP item 15).
+//! A change to any of this changes the bits of a trained model, so it
+//! bumps [`KERNEL_VERSION`], which the `Learner` declaration folds into
+//! the model's signature: a catalog never serves a model trained by one
+//! kernel to a workflow that asks for another.
 
-use crate::linalg::{self, sigmoid};
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::EmbeddingModel;
 use std::collections::HashMap;
+
+/// The version of the arithmetic [`Word2Vec::fit`] applies (module docs).
+/// Version 1 was the `f64` kernel with one accumulator per dot product;
+/// version 2 trains in `f32` with eight-lane dot products. A change that
+/// moves any bit of a trained model bumps it.
+pub const KERNEL_VERSION: u32 = 2;
 
 /// SGNS trainer configuration.
 #[derive(Clone, Debug)]
@@ -80,14 +88,13 @@ impl Default for Word2Vec {
 }
 
 /// What one fit trains: the vocabulary, the negative-sampling table, the
-/// corpus as vocabulary indices, both embedding matrices (row-major,
-/// `dim` columns) and the RNG, already advanced past initialization.
+/// corpus as vocabulary indices, the input matrix (row-major, `dim`
+/// columns) and the RNG, already advanced past initialization.
 struct Sgns {
     vocab: HashMap<String, u32>,
     table: Vec<u32>,
     indexed: Vec<Vec<u32>>,
-    input: Vec<f64>,
-    output: Vec<f64>,
+    input: Vec<f32>,
     rng: SplitMix64,
     dim: usize,
 }
@@ -121,12 +128,8 @@ impl Sgns {
         // ---- Init ----
         let mut rng = SplitMix64::new(cfg.seed);
         let d = cfg.dim;
-        let mut input = vec![0.0f64; v * d];
         let bound = 0.5 / d as f64;
-        for x in input.iter_mut() {
-            *x = rng.range_f64(-bound, bound);
-        }
-        let output = vec![0.0f64; v * d];
+        let input: Vec<f32> = (0..v * d).map(|_| rng.range_f64(-bound, bound) as f32).collect();
 
         // Pre-index corpus.
         let indexed: Vec<Vec<u32>> = sentences
@@ -137,40 +140,19 @@ impl Sgns {
         if total_tokens == 0 {
             return Err(HelixError::ml("word2vec: no in-vocabulary tokens"));
         }
-        Ok(Sgns { vocab, table, indexed, input, output, rng, dim: d })
+        Ok(Sgns { vocab, table, indexed, input, rng, dim: d })
     }
 
-    fn into_model(self) -> EmbeddingModel {
-        EmbeddingModel { vocab: self.vocab, vectors: self.input, dim: self.dim as u32 }
-    }
-}
-
-impl Word2Vec {
-    /// Train embeddings over tokenized sentences, owned (`&[Vec<String>]`)
-    /// or borrowed (`&[&[String]]`).
-    pub fn fit<S: AsRef<[String]>>(&self, sentences: &[S]) -> Result<EmbeddingModel> {
-        let mut sgns = Sgns::new(self, sentences)?;
-        self.train(&mut sgns);
-        Ok(sgns.into_model())
-    }
-
-    /// Applies the module docs' update sequence to `s`, one wave of
-    /// distinct output rows at a time.
-    fn train(&self, s: &mut Sgns) {
-        let d = s.dim;
-        // Every dot product adds its terms onto `Iterator::sum`'s start
-        // value, in order, exactly as a `.sum()` over them would.
-        let zero: f64 = std::iter::empty::<f64>().sum();
-        let mut gradient = vec![0.0f64; d];
-        // A pair's kept targets, context first, and then one wave's scores,
-        // which become its `g`s.
-        let mut targets: Vec<usize> = Vec::with_capacity(self.negatives + 1);
-        let mut gs = vec![0.0f64; self.negatives + 1];
-        for epoch in 0..self.epochs {
-            let lr = self.learning_rate * (1.0 - epoch as f64 / self.epochs.max(1) as f64).max(0.1);
-            for sentence in &s.indexed {
+    /// Calls `pair(center, targets, lr)` for every (center, context) pair
+    /// in the module docs' order, drawing from the RNG as it goes.
+    /// `targets` holds the context, then the kept negatives.
+    fn for_each_pair(&mut self, cfg: &Word2Vec, mut pair: impl FnMut(usize, &[usize], f32)) {
+        let mut targets: Vec<usize> = Vec::with_capacity(cfg.negatives + 1);
+        for epoch in 0..cfg.epochs {
+            let lr = cfg.learning_rate * (1.0 - epoch as f64 / cfg.epochs.max(1) as f64).max(0.1);
+            for sentence in &self.indexed {
                 for (pos, &center) in sentence.iter().enumerate() {
-                    let window = 1 + s.rng.index(self.window.max(1));
+                    let window = 1 + self.rng.index(cfg.window.max(1));
                     let lo = pos.saturating_sub(window);
                     let hi = (pos + window + 1).min(sentence.len());
                     for (ctx_pos, &ctx_word) in sentence.iter().enumerate().take(hi).skip(lo) {
@@ -180,42 +162,121 @@ impl Word2Vec {
                         let context = ctx_word as usize;
                         targets.clear();
                         targets.push(context);
-                        for _ in 0..self.negatives {
-                            let target = s.table[s.rng.index(s.table.len())] as usize;
+                        for _ in 0..cfg.negatives {
+                            let target = self.table[self.rng.index(self.table.len())] as usize;
                             if target != context {
                                 targets.push(target);
                             }
                         }
-                        let c_row = center as usize * d;
-                        let center_vec = &s.input[c_row..c_row + d];
-                        gradient.fill(0.0);
-                        let mut start = 0;
-                        while start < targets.len() {
-                            let end = wave_end(&targets, start);
-                            let wave = &targets[start..end];
-                            let gs = &mut gs[..wave.len()];
-                            let row = |i: usize| &s.output[wave[i] * d..(wave[i] + 1) * d];
-                            linalg::dots(center_vec, row, zero, gs);
-                            for (i, g) in gs.iter_mut().enumerate() {
-                                let label = if start + i == 0 { 1.0 } else { 0.0 };
-                                *g = (sigmoid(*g) - label) * lr;
-                            }
-                            for (&t, &g) in wave.iter().zip(gs.iter()) {
-                                let row = &mut s.output[t * d..(t + 1) * d];
-                                for ((gk, o), &x) in gradient.iter_mut().zip(row).zip(center_vec) {
-                                    *gk += g * *o;
-                                    *o -= g * x;
-                                }
-                            }
-                            start = end;
-                        }
-                        for (x, gk) in s.input[c_row..c_row + d].iter_mut().zip(&gradient) {
-                            *x -= gk;
-                        }
+                        pair(center as usize, &targets, lr as f32);
                     }
                 }
             }
         }
+    }
+
+    fn into_model(self) -> EmbeddingModel {
+        let vectors = self.input.into_iter().map(f64::from).collect();
+        EmbeddingModel { vocab: self.vocab, vectors, dim: self.dim as u32 }
+    }
+}
+
+/// One embedding row as `NB` blocks of eight lanes.
+type Row<const NB: usize> = [[f32; 8]; NB];
+
+impl Word2Vec {
+    /// Train embeddings over tokenized sentences, owned (`&[Vec<String>]`)
+    /// or borrowed (`&[&[String]]`).
+    pub fn fit<S: AsRef<[String]>>(&self, sentences: &[S]) -> Result<EmbeddingModel> {
+        let mut sgns = Sgns::new(self, sentences)?;
+        match sgns.dim.div_ceil(8) {
+            1 => self.train_blocked::<1>(&mut sgns),
+            2 => self.train_blocked::<2>(&mut sgns),
+            3 => self.train_blocked::<3>(&mut sgns),
+            4 => self.train_blocked::<4>(&mut sgns),
+            5 => self.train_blocked::<5>(&mut sgns),
+            6 => self.train_blocked::<6>(&mut sgns),
+            7 => self.train_blocked::<7>(&mut sgns),
+            8 => self.train_blocked::<8>(&mut sgns),
+            _ => self.train_plain(&mut sgns),
+        }
+        Ok(sgns.into_model())
+    }
+
+    /// The module docs' sequence over rows of `NB` eight-lane blocks,
+    /// zero-padded past `dim`.
+    fn train_blocked<const NB: usize>(&self, s: &mut Sgns) {
+        let mut input: Vec<Row<NB>> = s
+            .input
+            .chunks_exact(s.dim)
+            .map(|flat| {
+                let mut row = [[0.0f32; 8]; NB];
+                for (k, &x) in flat.iter().enumerate() {
+                    row[k / 8][k % 8] = x;
+                }
+                row
+            })
+            .collect();
+        let mut output = vec![[[0.0f32; 8]; NB]; input.len()];
+        s.for_each_pair(self, |center, targets, lr| {
+            let x = input[center];
+            let mut gradient = [[0.0f32; 8]; NB];
+            for (i, &t) in targets.iter().enumerate() {
+                let row = &mut output[t];
+                let mut lanes = [0.0f32; 8];
+                for (xb, ob) in x.iter().zip(row.iter()) {
+                    for ((a, &xl), &ol) in lanes.iter_mut().zip(xb).zip(ob) {
+                        *a += xl * ol;
+                    }
+                }
+                let g = (sigmoid(lane_sum(lanes)) - label(i)) * lr;
+                for ((gb, ob), xb) in gradient.iter_mut().zip(row.iter_mut()).zip(&x) {
+                    for ((gl, ol), &xl) in gb.iter_mut().zip(ob).zip(xb) {
+                        *gl += g * *ol;
+                        *ol -= g * xl;
+                    }
+                }
+            }
+            for (xb, gb) in input[center].iter_mut().zip(&gradient) {
+                for (xl, gl) in xb.iter_mut().zip(gb) {
+                    *xl -= gl;
+                }
+            }
+        });
+        for (flat, row) in s.input.chunks_exact_mut(s.dim).zip(&input) {
+            for (k, x) in flat.iter_mut().enumerate() {
+                *x = row[k / 8][k % 8];
+            }
+        }
+    }
+
+    /// The module docs' sequence over plain `dim`-long rows, for dims past
+    /// the blocked kernel's.
+    fn train_plain(&self, s: &mut Sgns) {
+        let d = s.dim;
+        let mut input = std::mem::take(&mut s.input);
+        let mut output = vec![0.0f32; input.len()];
+        let mut gradient = vec![0.0f32; d];
+        s.for_each_pair(self, |center, targets, lr| {
+            let x = &mut input[center * d..(center + 1) * d];
+            gradient.fill(0.0);
+            for (i, &t) in targets.iter().enumerate() {
+                let row = &mut output[t * d..(t + 1) * d];
+                let mut lanes = [0.0f32; 8];
+                for (k, (&xk, &ok)) in x.iter().zip(row.iter()).enumerate() {
+                    lanes[k % 8] += xk * ok;
+                }
+                let g = (sigmoid(lane_sum(lanes)) - label(i)) * lr;
+                for ((gk, ok), &xk) in gradient.iter_mut().zip(row).zip(x.iter()) {
+                    *gk += g * *ok;
+                    *ok -= g * xk;
+                }
+            }
+            for (xk, gk) in x.iter_mut().zip(&gradient) {
+                *xk -= gk;
+            }
+        });
+        s.input = input;
     }
 
     /// Cosine similarity between two tokens (`None` if either is OOV).
@@ -238,14 +299,30 @@ impl Word2Vec {
     }
 }
 
-/// End of the wave that starts at `start`: the longest run of `targets`
-/// in which no row repeats.
-fn wave_end(targets: &[usize], start: usize) -> usize {
-    let mut end = start + 1;
-    while end < targets.len() && !targets[start..end].contains(&targets[end]) {
-        end += 1;
+/// The label of a pair's sample `i`: the context is 1, a negative 0.
+fn label(i: usize) -> f32 {
+    if i == 0 {
+        1.0
+    } else {
+        0.0
     }
-    end
+}
+
+/// The eight lane sums of a dot product, reduced in the module docs' order.
+#[inline]
+fn lane_sum(a: [f32; 8]) -> f32 {
+    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
+}
+
+/// The logistic function in `f32`, exact in both tails.
+#[inline]
+fn sigmoid(z: f32) -> f32 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
 }
 
 /// Build the negative-sampling table with probabilities ∝ count^0.75.
@@ -352,15 +429,18 @@ mod tests {
         assert!(Word2Vec::most_similar(&model, "nonexistent", 3).is_empty());
     }
 
-    /// The specification of [`Word2Vec::fit`]: the serial per-pair loop,
-    /// each sample's dot product after the previous sample's update.
+    /// The specification of [`Word2Vec::fit`]: the serial per-sample loop
+    /// over flat `f32` rows, each dot product summed term by term into
+    /// lane `k % 8`.
     fn reference_fit(cfg: &Word2Vec, sentences: &[Vec<String>]) -> EmbeddingModel {
         let mut sgns = Sgns::new(cfg, sentences).unwrap();
-        let Sgns { table, indexed, input, output, rng, dim: d, .. } = &mut sgns;
+        let Sgns { table, indexed, input, rng, dim: d, .. } = &mut sgns;
         let d = *d;
-        let mut gradient = vec![0.0f64; d];
+        let mut output = vec![0.0f32; input.len()];
+        let mut gradient = vec![0.0f32; d];
         for epoch in 0..cfg.epochs {
             let lr = cfg.learning_rate * (1.0 - epoch as f64 / cfg.epochs.max(1) as f64).max(0.1);
+            let lr = lr as f32;
             for sentence in indexed.iter() {
                 for (pos, &center) in sentence.iter().enumerate() {
                     let window = 1 + rng.index(cfg.window.max(1));
@@ -376,17 +456,21 @@ mod tests {
                         // Positive pair + negatives.
                         for sample in 0..=cfg.negatives {
                             let (target, label) = if sample == 0 {
-                                (context, 1.0)
+                                (context, 1.0f32)
                             } else {
-                                (table[rng.index(table.len())] as usize, 0.0)
+                                (table[rng.index(table.len())] as usize, 0.0f32)
                             };
                             if sample > 0 && target == context {
                                 continue;
                             }
                             let t_row = target * d;
-                            let score: f64 =
-                                (0..d).map(|k| input[c_row + k] * output[t_row + k]).sum();
-                            let g = (crate::linalg::sigmoid(score) - label) * lr;
+                            let mut a = [0.0f32; 8];
+                            for k in 0..d {
+                                a[k % 8] += input[c_row + k] * output[t_row + k];
+                            }
+                            let score =
+                                ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+                            let g = (sigmoid(score) - label) * lr;
                             for k in 0..d {
                                 gradient[k] += g * output[t_row + k];
                                 output[t_row + k] -= g * input[c_row + k];
@@ -433,21 +517,31 @@ mod tests {
     }
 
     #[test]
-    fn fit_is_bit_identical_to_the_serial_reference() {
-        let genomics = genomics_shaped(8);
+    fn fit_is_bit_identical_to_the_f32_reference() {
+        let genomics = genomics_shaped(2);
+        let settings = [(0, 1, 1), (1, 3, 4), (5, 3, 1), (8, 1, 4)];
         let mut cases: Vec<(String, Word2Vec, &[Vec<String>])> = Vec::new();
-        for dim in [1, 7, 24, 32] {
-            for (negatives, window, epochs) in [(0, 1, 1), (1, 3, 4), (5, 3, 1), (8, 1, 4)] {
-                let cfg = Word2Vec { dim, negatives, window, epochs, ..Default::default() };
-                let name = format!("genomics dim {dim} neg {negatives} win {window} ep {epochs}");
-                cases.push((name, cfg, &genomics));
+        // Every dim up to 80: each padding width of every block count the
+        // blocked kernel compiles, and the plain path past 64. Each dim
+        // runs one of the settings in turn, and the settings run in full
+        // at the dims around the block edges.
+        for dim in 1..=80 {
+            let edge = [1, 7, 8, 9, 24, 32, 63, 64, 65, 80].contains(&dim);
+            for (i, &(negatives, window, epochs)) in settings.iter().enumerate() {
+                if edge || i == dim % settings.len() {
+                    let cfg = Word2Vec { dim, negatives, window, epochs, ..Default::default() };
+                    let name = format!("dim {dim} neg {negatives} win {window} ep {epochs}");
+                    cases.push((name, cfg, &genomics));
+                }
             }
         }
-        // Three rows and nine samples: every pair has duplicate targets, so
-        // a wave must break at each one.
+        // Three rows and nine samples: every pair repeats a target, so a
+        // later sample must see the earlier one's update of the same row.
         let three = tiny_vocab(6, 3);
-        let dense = Word2Vec { dim: 7, negatives: 8, min_count: 1, ..Default::default() };
-        cases.push(("three words, negatives 8".into(), dense, &three));
+        for dim in [7, 70] {
+            let dense = Word2Vec { dim, negatives: 8, min_count: 1, ..Default::default() };
+            cases.push((format!("three words, negatives 8, dim {dim}"), dense, &three));
+        }
         // Every negative equals the context and is skipped.
         let one = tiny_vocab(3, 1);
         let lone = Word2Vec { dim: 5, negatives: 5, min_count: 1, ..Default::default() };
