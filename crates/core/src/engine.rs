@@ -37,9 +37,9 @@
 
 use crate::dsl::Workflow;
 use crate::materialize::{cumulative_run_time, should_materialize, MatStrategy};
-use crate::pipeline::{BackgroundWriter, PrefetchTake, Prefetcher};
+use crate::pipeline::{BackgroundWriter, Prefetcher};
 use helix_common::hash::Signature;
-use helix_common::timing::{duration_to_nanos, timed, Nanos};
+use helix_common::timing::{timed, Nanos};
 use helix_common::{HelixError, Result};
 use helix_data::{ByteSized, Value};
 use helix_exec::{
@@ -82,13 +82,15 @@ pub struct EngineParams<'a> {
     pub tenant: &'a str,
     /// Shared core-token budget; `None` = unconstrained (solo semantics).
     pub core_budget: Option<&'a Arc<CoreBudget>>,
-    /// Enable the pipelined lanes (prefetched loads; staged background
-    /// writes when `writer` is present). Outputs, catalog contents, and
-    /// plan-relevant metrics stay byte-identical either way — pipelining
-    /// moves I/O off the critical path, never changes decisions.
+    /// Run load lanes ahead of the frontier and hand stores to `writer`.
+    /// Off, the same code runs with zero load lanes and no writer: every
+    /// load is fetched by the node that takes it and every stage lands
+    /// inline. Outputs, catalog contents, and plan-relevant metrics are
+    /// byte-identical either way — the lanes move I/O off the critical
+    /// path, never change decisions.
     pub pipeline: bool,
-    /// The session's background materialization writer (the write lane).
-    /// `None` or `pipeline == false` keeps the serial inline writes.
+    /// The session's background materialization writer (the write lane),
+    /// used only when `pipeline` is on; `None` lands each stage inline.
     pub writer: Option<&'a BackgroundWriter>,
 }
 
@@ -116,9 +118,6 @@ struct NodeSuccess {
     state: RunState,
     /// Load was served by another tenant's artifact.
     cross: bool,
-    /// Epoch-relative wall span of a lazily executed load (prefetched
-    /// loads record their spans in the prefetcher instead).
-    load_span: Option<(Nanos, Nanos)>,
 }
 
 /// Run one planned iteration.
@@ -145,16 +144,20 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
 
     let order = dag.topo_order()?;
     let epoch = Instant::now();
-    // Load lane: fetch every plan-time-claimed Load concurrently from
-    // iteration start, instead of lazily when the frontier reaches it —
-    // a Load needs no parent values, only the DAG made it wait.
-    let load_jobs: Vec<(NodeId, Signature)> = order
-        .iter()
-        .filter(|id| states[id.ix()] == State::Load)
-        .map(|id| (*id, sigs[id.ix()]))
-        .collect();
-    let prefetcher = (pipeline && !load_jobs.is_empty())
-        .then(|| Prefetcher::new(catalog, tenant, epoch, load_jobs));
+    // Load lanes: with `pipeline` on, fetch every planned Load
+    // concurrently from iteration start instead of when the frontier
+    // reaches it — a Load needs no parent values, only the DAG made it
+    // wait. Off, the lanes get no jobs and each take fetches inline.
+    let load_jobs: Vec<(NodeId, Signature)> = if pipeline {
+        order
+            .iter()
+            .filter(|id| states[id.ix()] == State::Load)
+            .map(|id| (*id, sigs[id.ix()]))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let prefetcher = Prefetcher::new(catalog, tenant, epoch, load_jobs);
     // Data-parallel operators get the full nominal width, but under a
     // core budget their extra threads must be leased from the same tokens
     // the dispatch layer uses — node- and data-level parallelism split
@@ -179,14 +182,12 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         wf,
         states,
         sigs,
-        catalog,
         cache: &cache,
         memory: &memory,
         pool,
         seed,
         tenant,
-        prefetch: prefetcher.as_ref(),
-        epoch,
+        prefetch: &prefetcher,
         iteration,
     };
     let mut coord = Coordinator {
@@ -199,8 +200,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         iteration,
         tenant,
         writer: if pipeline { writer } else { None },
-        prefetch: prefetcher.as_ref(),
-        load_spans: Vec::new(),
+        prefetch: &prefetcher,
         protected: sigs.iter().copied().collect(),
         cross_loads: 0,
         cache: &cache,
@@ -231,34 +231,28 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
             run_parallel(dag, &runner, coord, &dispatch_pool);
         }
     };
-    match prefetcher.as_ref() {
-        Some(p) => std::thread::scope(|scope| {
-            // Lane count respects the core budget: the first lane rides
-            // the iteration's own token (loads are not pure sleep — the
-            // decode is real CPU), extras need leased tokens held for
-            // the lanes' lifetime. Unbudgeted sessions get the full
-            // complement.
-            let extra_lease = core_budget.map(|budget| budget.try_acquire(p.lanes() - 1));
-            let lane_count = match &extra_lease {
-                Some(lease) => 1 + lease.tokens(),
-                None => p.lanes(),
-            };
-            for _ in 0..lane_count {
-                scope.spawn(|| p.run_lane());
-            }
-            run_driver(&mut coord);
-            // Normal completion: every load was fetched and taken, halt
-            // is a no-op. Error path: stop the lanes from *starting*
-            // loads the serial engine would never have reached —
-            // in-flight fetches still finish (their takers may be
-            // waiting), so a failed iteration can touch a few more load
-            // statistics than serial; timing/stat metadata is outside
-            // the byte-identity contract.
-            p.halt();
-            drop(extra_lease);
-        }),
-        None => run_driver(&mut coord),
-    }
+    std::thread::scope(|scope| {
+        // Lane count respects the core budget: the first lane rides the
+        // iteration's own token (loads are not pure sleep — the decode is
+        // real CPU), extras need leased tokens held for the lanes'
+        // lifetime. Unbudgeted sessions get the full complement.
+        let lanes = prefetcher.lanes();
+        let extra_lease =
+            core_budget.filter(|_| lanes > 1).map(|budget| budget.try_acquire(lanes - 1));
+        let lane_count = extra_lease.as_ref().map_or(lanes, |lease| 1 + lease.tokens());
+        for _ in 0..lane_count {
+            scope.spawn(|| prefetcher.run_lane());
+        }
+        run_driver(&mut coord);
+        // Normal completion: every load was fetched and taken, halt is a
+        // no-op. Error path: stop the lanes from *starting* loads the
+        // serial loop would never have reached — in-flight fetches still
+        // finish (their takers may be waiting), so a failed iteration can
+        // touch a few more load statistics than serial; timing/stat
+        // metadata is outside the byte-identity contract.
+        prefetcher.halt();
+        drop(extra_lease);
+    });
 
     if let Some((_, err)) = coord.first_error.take() {
         return Err(err);
@@ -272,12 +266,9 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     );
 
     let mut metrics = IterationMetrics::new(iteration);
-    let mut load_spans = std::mem::take(&mut coord.load_spans);
-    if let Some(p) = prefetcher.as_ref() {
-        load_spans.extend(p.spans());
-    }
-    metrics.load_cpu_nanos = load_spans.iter().map(|(s, e)| e.saturating_sub(*s)).sum();
-    metrics.load_nanos = interval_union_nanos(&load_spans);
+    let spans = prefetcher.spans();
+    metrics.load_cpu_nanos = spans.iter().map(|(s, e)| e.saturating_sub(*s)).sum();
+    metrics.load_nanos = interval_union_nanos(&spans);
     for run in coord.runs.into_iter().flatten() {
         metrics.record(run);
     }
@@ -459,16 +450,13 @@ struct NodeRunner<'a> {
     wf: &'a Workflow,
     states: &'a [State],
     sigs: &'a [Signature],
-    catalog: &'a MaterializationCatalog,
     cache: &'a SharedValueCache,
     memory: &'a SharedMemoryTracker,
     pool: WorkerPool,
     seed: u64,
     tenant: &'a str,
-    /// The load lane, when this iteration prefetches.
-    prefetch: Option<&'a Prefetcher<'a>>,
-    /// Iteration start, for epoch-relative load spans.
-    epoch: Instant,
+    /// Where every planned load comes from.
+    prefetch: &'a Prefetcher<'a>,
     /// Iteration number, as a trace label only.
     iteration: u64,
 }
@@ -476,16 +464,6 @@ struct NodeRunner<'a> {
 impl NodeRunner<'_> {
     fn run_node(&self, id: NodeId) -> Completion {
         Completion { node: id.ix(), result: self.try_run(id) }
-    }
-
-    /// Read a load directly from the catalog (the lazy path), capturing
-    /// its wall span.
-    #[allow(clippy::type_complexity)]
-    fn load_direct(&self, i: usize) -> Result<(Value, Nanos, bool, Option<(Nanos, Nanos)>)> {
-        let start = duration_to_nanos(self.epoch.elapsed());
-        let (value, load_nanos, cross) = self.catalog.load_for(self.sigs[i], self.tenant)?;
-        let end = duration_to_nanos(self.epoch.elapsed());
-        Ok((value, load_nanos, cross, Some((start, end))))
     }
 
     fn try_run(&self, id: NodeId) -> Result<NodeSuccess> {
@@ -499,31 +477,20 @@ impl NodeRunner<'_> {
                     .node(spec.name.as_str())
                     .tenant(self.tenant)
                     .iteration(self.iteration);
-                // Prefetched when the load lane is on; the reported cost
-                // is the deterministic disk-model time either way, so
-                // statistics (and therefore future plans) are identical
-                // to a lazy serial load.
-                let (value, load_nanos, cross, load_span) = match self.prefetch {
-                    Some(p) => match p.take(id) {
-                        PrefetchTake::Ready(result) => {
-                            let loaded = result?;
-                            (loaded.value, loaded.load_nanos, loaded.cross, None)
-                        }
-                        PrefetchTake::Cancelled => self.load_direct(i)?,
-                    },
-                    None => self.load_direct(i)?,
-                };
-                let value = Arc::new(value);
+                // The reported cost is the deterministic disk-model time
+                // whoever fetched it, so statistics (and therefore future
+                // plans) do not depend on the lanes.
+                let loaded = self.prefetch.take(id, self.sigs[i])?;
+                let value = Arc::new(loaded.value);
                 let output_bytes = value.byte_size();
                 self.cache.put(id.0, Arc::clone(&value));
                 self.memory.record(self.cache.resident_bytes());
                 Ok(NodeSuccess {
                     value,
-                    run_nanos: load_nanos,
+                    run_nanos: loaded.load_nanos,
                     output_bytes,
                     state: RunState::Loaded,
-                    cross,
-                    load_span,
+                    cross: loaded.cross,
                 })
             }
             State::Compute => {
@@ -578,7 +545,6 @@ impl NodeRunner<'_> {
                     output_bytes,
                     state: RunState::Computed,
                     cross: false,
-                    load_span: None,
                 })
             }
         }
@@ -596,15 +562,12 @@ struct Coordinator<'a> {
     budget_bytes: u64,
     iteration: u64,
     tenant: &'a str,
-    /// The write lane: when present, materializations are staged (index
-    /// now, file later) instead of written inline.
+    /// The write lane: when present, staged files land off the critical
+    /// path; when absent, each stage lands inline.
     writer: Option<&'a BackgroundWriter>,
-    /// The load lane, halted on first error so lanes stop fetching loads
+    /// The load lanes, halted on first error so they stop fetching loads
     /// serial execution would never have reached.
-    prefetch: Option<&'a Prefetcher<'a>>,
-    /// Wall spans of lazily executed loads (prefetched spans live in the
-    /// prefetcher).
-    load_spans: Vec<(Nanos, Nanos)>,
+    prefetch: &'a Prefetcher<'a>,
     /// The current plan's signatures: quota eviction must never remove an
     /// artifact this very iteration still intends to load.
     protected: HashSet<Signature>,
@@ -663,9 +626,6 @@ impl Coordinator<'_> {
                 if success.cross {
                     self.cross_loads += 1;
                 }
-                if let Some(span) = success.load_span {
-                    self.load_spans.push(span);
-                }
                 if success.state == RunState::Computed {
                     self.compute_nanos[i] = Some(success.run_nanos);
                     for p in self.wf.dag().parents(id) {
@@ -691,9 +651,7 @@ impl Coordinator<'_> {
                 if self.first_error.as_ref().is_none_or(|(p, _)| pos < *p) {
                     self.first_error = Some((pos, err));
                 }
-                if let Some(p) = self.prefetch {
-                    p.halt();
-                }
+                self.prefetch.halt();
             }
         }
         self.done[i] = true;
@@ -804,31 +762,23 @@ impl Coordinator<'_> {
                         )?;
                     }
                 }
-                // With the write lane on, stage now (index, owners, quota
-                // — everything later decisions read) and let the writer
-                // land the file off the critical path; the reported write
-                // time is the disk model's deterministic target. Without
-                // it, the serial inline write.
-                let (bytes, write_nanos) = match self.writer {
-                    Some(writer) => {
-                        let (bytes, modeled, frame) = self.catalog.stage_owned(
-                            self.sigs[i],
-                            self.tenant,
-                            &spec.name,
-                            self.iteration,
-                            &value,
-                        )?;
-                        writer.enqueue(self.sigs[i], frame);
-                        (bytes, modeled)
+                // Stage now (index, owners, quota — everything later
+                // decisions read), then land the file: on the write lane
+                // when there is one, inline otherwise. The reported write
+                // time is the disk model's deterministic target either way.
+                let (bytes, write_nanos, frame) = self.catalog.stage_owned(
+                    self.sigs[i],
+                    self.tenant,
+                    &spec.name,
+                    self.iteration,
+                    &value,
+                )?;
+                match self.writer {
+                    Some(writer) => writer.enqueue(self.sigs[i], frame),
+                    None => {
+                        self.catalog.complete_stage(self.sigs[i], &frame)?;
                     }
-                    None => self.catalog.store_owned(
-                        self.sigs[i],
-                        self.tenant,
-                        &spec.name,
-                        self.iteration,
-                        &value,
-                    )?,
-                };
+                }
                 debug_assert_eq!(bytes, size, "encoded_len must match the stored artifact");
                 if let Some(run) = self.runs[i].as_mut() {
                     run.materialize_nanos = write_nanos;

@@ -1,25 +1,28 @@
 //! The pipelined iteration runtime: the lanes that hide I/O under an
-//! iteration's compute (as in arXiv:2411.15871). Two lanes run beside
-//! the engine's compute frontier:
+//! iteration's compute (as in arXiv:2411.15871). They are the engine's
+//! only write and load paths; `pipeline = false` runs the same code with
+//! no writer and zero load lanes.
 //!
-//! * **Write lane** ([`BackgroundWriter`]) — elective materializations
-//!   are *staged* in the catalog index synchronously (so every
-//!   Algorithm-2 decision still sees serial-identical budget/catalog
-//!   state, in the engine's deterministic finalize order) while the
-//!   throttled file writes drain on a background thread, across iteration
-//!   boundaries. The writer seals each drained batch with one journal
-//!   commit; the journal never references a non-durable file, so a crash
-//!   mid-write recovers to a consistent catalog.
-//! * **Load lane** ([`Prefetcher`]) — every plan-time-claimed `Load` is
-//!   fetched concurrently from iteration start instead of lazily when the
-//!   frontier reaches it, hiding load I/O under compute even on chains
-//!   where DAG order would serialize the reads. Loads report the disk
-//!   model's deterministic cost to the statistics (identical to serial);
-//!   the real, overlapped wall time is reported separately
-//!   ([`helix_exec::IterationMetrics::load_nanos`]).
+//! * **Write lane** ([`BackgroundWriter`]) — every materialization is
+//!   *staged* in the catalog index synchronously (so every Algorithm-2
+//!   decision sees the same budget/catalog state, in the engine's
+//!   deterministic finalize order). With a writer, the throttled file
+//!   writes drain on a background thread, across iteration boundaries,
+//!   and each drained batch is sealed with one journal commit; without
+//!   one, the engine lands the stage inline. The journal never
+//!   references a non-durable file, so a crash mid-write recovers to a
+//!   consistent catalog.
+//! * **Load lane** ([`Prefetcher`]) — every planned `Load` is taken from
+//!   the prefetcher. Its lanes fetch loads concurrently from iteration
+//!   start instead of when the frontier reaches them, hiding load I/O
+//!   under compute even on chains where DAG order would serialize the
+//!   reads; a load no lane has started is fetched by the taker. Loads
+//!   report the disk model's deterministic cost to the statistics
+//!   whoever fetched them; the real, overlapped wall time is reported
+//!   separately ([`helix_exec::IterationMetrics::load_nanos`]).
 //!
 //! Planning is not a lane: each iteration solves OPT-EXEC-PLAN on its
-//! own thread before it executes, exactly as a serial session does.
+//! own thread before it executes.
 //!
 //! Budget discipline: the load lanes are *sized* by the budget at spawn
 //! time (the engine leases one token per extra lane for the lanes'
@@ -38,7 +41,7 @@ use helix_exec::{CoreBudget, TaskQueue};
 use helix_flow::NodeId;
 use helix_storage::MaterializationCatalog;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -135,7 +138,7 @@ impl BackgroundWriter {
     /// Deepest backlog `enqueue` accepts before it blocks the caller.
     /// Bounded so a producer outrunning the throttled disk cannot pile
     /// retained frames without limit — beyond this, staging degrades to
-    /// the serial engine's natural inline-write backpressure.
+    /// the backpressure of an inline write.
     const MAX_BACKLOG: usize = 16;
 
     /// Hand a staged frame to the write lane, blocking while the backlog
@@ -158,8 +161,8 @@ impl BackgroundWriter {
 
     /// Block until every enqueued write has landed, then seal them with a
     /// journal commit. Returns the first write error observed since the
-    /// last sync (serial `store_owned` would have failed the iteration at
-    /// that node; the background lane surfaces it at the next barrier).
+    /// last sync (an inline write would have failed the iteration at that
+    /// node; the background lane surfaces it at the next barrier).
     pub fn sync(&self) -> helix_common::Result<()> {
         let mut state = self.shared.state.lock().expect("writer state poisoned");
         while state.in_system > 0 {
@@ -250,30 +253,21 @@ impl Drop for BackgroundWriter {
 // Load lane
 // ---------------------------------------------------------------------
 
-/// One prefetched load, ready for the node that planned it.
+/// One fetched load, ready for the node that planned it.
 pub struct PrefetchedLoad {
     /// The decoded artifact.
     pub value: Value,
     /// Deterministic load cost (the disk model's target) — what the node
-    /// reports as its run time, identical to a lazy serial load.
+    /// reports as its run time, whichever thread fetched it.
     pub load_nanos: Nanos,
     /// Whether the artifact was written by another tenant.
     pub cross: bool,
 }
 
-/// What [`Prefetcher::take`] hands the dispatching worker.
-pub enum PrefetchTake {
-    /// The load finished (or failed) in the prefetch lane.
-    Ready(helix_common::Result<PrefetchedLoad>),
-    /// The lane was halted before this load started — fall back to a
-    /// direct catalog read (happens only on error-path iterations).
-    Cancelled,
-}
-
 enum Slot {
     InFlight,
+    /// Landed; `None` once taken (or claimed by the taker itself).
     Done(Option<helix_common::Result<PrefetchedLoad>>),
-    Cancelled,
 }
 
 struct PrefetchState {
@@ -282,14 +276,16 @@ struct PrefetchState {
     slots: HashMap<u32, Slot>,
 }
 
-/// Concurrent fetcher for every `Load` node of one iteration's plan.
+/// The one way a planned `Load` reaches the engine.
 ///
-/// Lanes claim jobs in topo order under one lock, so each load is fetched
-/// exactly once; `take` blocks until its node's fetch lands. After
-/// [`halt`](Self::halt) (first error observed, or driver shutdown) lanes
-/// stop *starting* fetches; in-flight ones still complete, and takes of
-/// never-started loads report [`PrefetchTake::Cancelled`] so the worker
-/// loads directly — byte-identical either way.
+/// Each load is fetched exactly once, by whoever claims it first under
+/// one lock: a lane ([`run_lane`](Self::run_lane)) claims ahead of the
+/// frontier in topo order; [`take`](Self::take) claims a load no lane has
+/// started and fetches it on the caller's thread, or blocks until the
+/// lane's fetch lands. With zero lanes (`pipeline` off, or a plan with
+/// no loads) every take fetches inline. After [`halt`](Self::halt)
+/// (first error observed) lanes stop *starting* fetches; in-flight ones
+/// still complete. Bytes are identical whoever fetched them.
 pub struct Prefetcher<'a> {
     catalog: &'a MaterializationCatalog,
     tenant: &'a str,
@@ -297,7 +293,6 @@ pub struct Prefetcher<'a> {
     jobs: Vec<(NodeId, Signature)>,
     state: Mutex<PrefetchState>,
     ready: Condvar,
-    halted_flag: AtomicBool,
     spans: Mutex<Vec<(Nanos, Nanos)>>,
     /// Trace-only ordinal handed to each `run_lane` entrant so every
     /// lane renders as its own track.
@@ -305,10 +300,12 @@ pub struct Prefetcher<'a> {
 }
 
 impl<'a> Prefetcher<'a> {
-    /// A prefetcher over `jobs` (the plan's `Load` nodes, topo order).
-    /// Lane *accounting* is the spawner's job: the engine leases one
-    /// core token per extra lane for the lanes' lifetime (loads decode
-    /// real CPU, not just sleep), so `run_lane` itself leases nothing.
+    /// A prefetcher whose lanes may fetch `jobs` (`Load` nodes, topo
+    /// order) ahead of the frontier; empty means every take fetches
+    /// inline. Lane *accounting* is the spawner's job: the engine leases
+    /// one core token per extra lane for the lanes' lifetime (loads
+    /// decode real CPU, not just sleep), so `run_lane` itself leases
+    /// nothing.
     pub fn new(
         catalog: &'a MaterializationCatalog,
         tenant: &'a str,
@@ -322,25 +319,14 @@ impl<'a> Prefetcher<'a> {
             jobs,
             state: Mutex::new(PrefetchState { cursor: 0, halted: false, slots: HashMap::new() }),
             ready: Condvar::new(),
-            halted_flag: AtomicBool::new(false),
             spans: Mutex::new(Vec::new()),
             lane_seq: AtomicU32::new(0),
         }
     }
 
-    /// Number of loads to fetch.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether there is nothing to fetch.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// How many I/O lanes are worth spawning for this plan.
+    /// How many I/O lanes are worth spawning: none without jobs.
     pub fn lanes(&self) -> usize {
-        self.jobs.len().clamp(1, 4)
+        self.jobs.len().min(4)
     }
 
     /// One lane: claim loads in topo order and fetch until drained or
@@ -353,7 +339,7 @@ impl<'a> Prefetcher<'a> {
                 if state.halted {
                     return;
                 }
-                // Skip jobs another lane claimed or a take cancelled.
+                // Skip jobs another lane or a take already claimed.
                 while state.cursor < self.jobs.len()
                     && state.slots.contains_key(&self.jobs[state.cursor].0 .0)
                 {
@@ -371,14 +357,8 @@ impl<'a> Prefetcher<'a> {
                 .track(format!("lane-{lane}"))
                 .tenant(self.tenant)
                 .lane(lane);
-            let start = self.offset_nanos();
-            let result = self
-                .catalog
-                .load_for(sig, self.tenant)
-                .map(|(value, load_nanos, cross)| PrefetchedLoad { value, load_nanos, cross });
-            let end = self.offset_nanos();
+            let result = self.fetch(sig);
             drop(fetch_span);
-            self.spans.lock().expect("prefetch spans poisoned").push((start, end));
             let mut state = self.state.lock().expect("prefetch state poisoned");
             state.slots.insert(node.0, Slot::Done(Some(result)));
             drop(state);
@@ -386,40 +366,45 @@ impl<'a> Prefetcher<'a> {
         }
     }
 
-    /// Block until `node`'s prefetch lands (or report cancellation).
-    pub fn take(&self, node: NodeId) -> PrefetchTake {
+    /// `node`'s load, planned under `sig`: the lane's result when a lane
+    /// claimed it (blocking until it lands), otherwise fetched here.
+    pub fn take(&self, node: NodeId, sig: Signature) -> helix_common::Result<PrefetchedLoad> {
         let mut state = self.state.lock().expect("prefetch state poisoned");
         loop {
             match state.slots.get_mut(&node.0) {
-                Some(Slot::Done(result)) => {
-                    return PrefetchTake::Ready(result.take().expect("prefetch taken twice"));
-                }
+                Some(Slot::Done(result)) => return result.take().expect("prefetch taken twice"),
                 Some(Slot::InFlight) => {}
-                Some(Slot::Cancelled) => return PrefetchTake::Cancelled,
                 None => {
-                    if state.halted {
-                        // Claim it as cancelled so a racing lane can't
-                        // start a duplicate fetch.
-                        state.slots.insert(node.0, Slot::Cancelled);
-                        return PrefetchTake::Cancelled;
-                    }
+                    state.slots.insert(node.0, Slot::Done(None));
+                    drop(state);
+                    return self.fetch(sig);
                 }
             }
             state = self.ready.wait(state).expect("prefetch state poisoned");
         }
     }
 
-    /// Stop starting new fetches (in-flight ones complete). Idempotent.
+    /// Stop lanes from starting new fetches (in-flight ones complete;
+    /// takes still fetch). Idempotent.
     pub fn halt(&self) {
-        if !self.halted_flag.swap(true, Ordering::Relaxed) {
-            self.state.lock().expect("prefetch state poisoned").halted = true;
-            self.ready.notify_all();
-        }
+        self.state.lock().expect("prefetch state poisoned").halted = true;
     }
 
     /// Epoch-relative wall offsets of each completed fetch.
     pub fn spans(&self) -> Vec<(Nanos, Nanos)> {
         self.spans.lock().expect("prefetch spans poisoned").clone()
+    }
+
+    /// Read `sig` from the catalog, recording the fetch's wall span.
+    fn fetch(&self, sig: Signature) -> helix_common::Result<PrefetchedLoad> {
+        let start = self.offset_nanos();
+        let result = self
+            .catalog
+            .load_for(sig, self.tenant)
+            .map(|(value, load_nanos, cross)| PrefetchedLoad { value, load_nanos, cross });
+        let end = self.offset_nanos();
+        self.spans.lock().expect("prefetch spans poisoned").push((start, end));
+        result
     }
 
     fn offset_nanos(&self) -> Nanos {
@@ -480,45 +465,47 @@ mod tests {
 
     #[test]
     fn prefetcher_fetches_each_load_once_and_serves_takes() {
-        let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
-        let mut jobs = Vec::new();
-        for i in 0..6u32 {
-            let sig = Signature::of_str(&format!("pf-{i}"));
-            catalog.store(sig, "n", 0, &scalar(i as f64)).unwrap();
-            jobs.push((NodeId(i), sig));
-        }
-        let prefetcher = Prefetcher::new(&catalog, "", Instant::now(), jobs);
-        std::thread::scope(|scope| {
-            for _ in 0..prefetcher.lanes() {
-                scope.spawn(|| prefetcher.run_lane());
+        // With lanes, takes block on fetches already claimed; with none,
+        // every take fetches on its own thread.
+        for spawn_lanes in [true, false] {
+            let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
+            let mut jobs = Vec::new();
+            for i in 0..6u32 {
+                let sig = Signature::of_str(&format!("pf-{i}"));
+                catalog.store(sig, "n", 0, &scalar(i as f64)).unwrap();
+                jobs.push((NodeId(i), sig));
             }
-            // Take out of submission order to exercise blocking takes.
-            for i in [3u32, 0, 5, 1, 4, 2] {
-                match prefetcher.take(NodeId(i)) {
-                    PrefetchTake::Ready(result) => {
-                        let load = result.unwrap();
-                        assert_eq!(load.value.as_scalar().unwrap().as_f64(), Some(i as f64));
+            let prefetcher = Prefetcher::new(&catalog, "", Instant::now(), jobs.clone());
+            std::thread::scope(|scope| {
+                if spawn_lanes {
+                    for _ in 0..prefetcher.lanes() {
+                        scope.spawn(|| prefetcher.run_lane());
                     }
-                    PrefetchTake::Cancelled => panic!("nothing was halted"),
                 }
-            }
-            prefetcher.halt();
-        });
-        assert_eq!(prefetcher.spans().len(), 6, "every load fetched exactly once");
+                // Take out of submission order to exercise blocking takes.
+                for i in [3u32, 0, 5, 1, 4, 2] {
+                    let load = prefetcher.take(NodeId(i), jobs[i as usize].1).unwrap();
+                    assert_eq!(load.value.as_scalar().unwrap().as_f64(), Some(i as f64));
+                }
+                prefetcher.halt();
+            });
+            assert_eq!(prefetcher.spans().len(), 6, "every load fetched exactly once");
+            assert_eq!(catalog.owner_stats("").loads(), 6, "lanes: {spawn_lanes}");
+        }
+        let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
+        assert_eq!(Prefetcher::new(&catalog, "", Instant::now(), Vec::new()).lanes(), 0);
     }
 
     #[test]
-    fn halted_prefetcher_cancels_unstarted_loads() {
+    fn halted_prefetcher_fetches_unstarted_loads_on_the_callers_thread() {
         let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
-        let sig = Signature::of_str("never-fetched");
+        let sig = Signature::of_str("never-prefetched");
         catalog.store(sig, "n", 0, &scalar(1.0)).unwrap();
         let prefetcher = Prefetcher::new(&catalog, "", Instant::now(), vec![(NodeId(0), sig)]);
         prefetcher.halt();
-        // No lane ever ran: the take must not hang.
-        match prefetcher.take(NodeId(0)) {
-            PrefetchTake::Cancelled => {}
-            PrefetchTake::Ready(_) => panic!("halted before any lane started"),
-        }
-        assert!(prefetcher.spans().is_empty());
+        // No lane ever ran: the take claims the load and fetches it.
+        let load = prefetcher.take(NodeId(0), sig).unwrap();
+        assert_eq!(load.value.as_scalar().unwrap().as_f64(), Some(1.0));
+        assert_eq!(prefetcher.spans().len(), 1);
     }
 }

@@ -76,8 +76,9 @@ pub struct SessionConfig {
     pub default_compute_nanos: Nanos,
     /// Pipelined iteration runtime (on by default): prefetched loads and
     /// background materialization writes overlap an iteration's compute.
-    /// Off = the strictly serial reference the determinism suites
-    /// compare against. Results are byte-identical either way.
+    /// Off = the same engine code with zero load lanes and no writer, the
+    /// reference the determinism suites compare against. Results are
+    /// byte-identical either way.
     pub pipeline: bool,
 }
 
@@ -783,6 +784,11 @@ mod tests {
                 (s.metrics.computed, s.metrics.loaded, s.metrics.pruned),
                 (p.metrics.computed, p.metrics.loaded, p.metrics.pruned),
                 "iteration {t} node resolution"
+            );
+            assert_eq!(
+                (s.metrics.materialize_nanos, s.metrics.materialized_bytes),
+                (p.metrics.materialize_nanos, p.metrics.materialized_bytes),
+                "iteration {t} materialization"
             );
         }
         let sigs = |s: &Session| {

@@ -54,7 +54,9 @@ pub struct NodeRun {
     pub state: RunState,
     /// Time spent computing or loading (0 when pruned).
     pub run_nanos: Nanos,
-    /// Time spent materializing the output (0 when not materialized).
+    /// The disk model's write target for the output's encoded bytes (0
+    /// when not materialized): a modelled cost, not measured wall, so it
+    /// is the same whether the write landed inline or on the write lane.
     pub materialize_nanos: Nanos,
     /// Bytes written when materialized.
     pub materialized_bytes: u64,
@@ -73,7 +75,9 @@ pub struct IterationMetrics {
     pub li_nanos: Nanos,
     /// PPR run time.
     pub ppr_nanos: Nanos,
-    /// Total materialization time.
+    /// Total materialization cost: the sum of each stored node's
+    /// modelled write target ([`NodeRun::materialize_nanos`]), not
+    /// measured wall.
     pub materialize_nanos: Nanos,
     /// Bytes written to the catalog this iteration.
     pub materialized_bytes: u64,

@@ -95,26 +95,28 @@
 //! Artifacts are recomputable by definition (the paper's premise), so
 //! invalidation costs recomputation, never correctness.
 //!
-//! ## Staged (deferred) commits
+//! ## Staged commits: the one write path
 //!
-//! The pipelined engine moves elective materialization writes off the
-//! critical path: [`stage_owned`](MaterializationCatalog::stage_owned)
+//! Every store is staged. [`stage_owned`](MaterializationCatalog::stage_owned)
 //! performs *all bookkeeping immediately* — the entry appears in the
 //! index, owner sets and quota accounting update, `contains`/loads work
 //! (loads of a staged entry are served from the retained in-memory
-//! bytes) — but defers the throttled file write, which a background
-//! writer later lands with
-//! [`complete_stage`](MaterializationCatalog::complete_stage) (sealing
-//! one `Upsert` journal frame for the now-durable file) and
-//! [`commit_staged`](MaterializationCatalog::commit_staged) fsyncs the
-//! journal once the queue drains. Because every *decision* consumes only
-//! the in-memory index (which updates synchronously at stage time, in
-//! the engine's deterministic finalize order), the final catalog
-//! contents are independent of write completion order. The journal never
-//! references a file that is not yet durable: entries still pending are
-//! excluded from every frame, so a crash mid-background-write recovers
-//! to a consistent catalog holding exactly the writes that landed —
-//! what a serial engine crash at the same point would leave.
+//! bytes) — but defers the throttled file write to
+//! [`complete_stage`](MaterializationCatalog::complete_stage), which
+//! lands the file and seals one `Upsert` journal frame for it. The
+//! pipelined engine hands the frame to a background writer, which calls
+//! `complete_stage` off the critical path and
+//! [`commit_staged`](MaterializationCatalog::commit_staged) (a journal
+//! fsync) once its queue drains; without a writer the engine calls
+//! `complete_stage` inline, and so does
+//! [`store_owned`](MaterializationCatalog::store_owned). Because every
+//! *decision* consumes only the in-memory index (which updates
+//! synchronously at stage time, in the engine's deterministic finalize
+//! order), the final catalog contents are independent of write
+//! completion order. The journal never references a file that is not yet
+//! durable: entries still pending are excluded from every frame, so a
+//! crash mid-write recovers to a consistent catalog holding exactly the
+//! writes that landed.
 
 use crate::codec::{decode_value, encode_value};
 use crate::disk::DiskProfile;
@@ -919,8 +921,11 @@ impl MaterializationCatalog {
     }
 
     /// Materialize `value` under `sig`, recording `owner` in the artifact's
-    /// owner set. Returns `(encoded bytes, write nanoseconds)`. Overwrites
-    /// any previous artifact for the signature (owners accumulate).
+    /// owner set: [`stage_owned`](Self::stage_owned) and
+    /// [`complete_stage`](Self::complete_stage) back to back, so the file
+    /// has landed and its journal frame is sealed on return. Returns
+    /// `(encoded bytes, measured write nanoseconds)`. Overwrites any
+    /// previous artifact for the signature (owners accumulate).
     pub fn store_owned(
         &self,
         sig: Signature,
@@ -929,23 +934,8 @@ impl MaterializationCatalog {
         iteration: u64,
         value: &Value,
     ) -> Result<(u64, Nanos)> {
-        let encoded = encode_value(value);
-        let bytes = encoded.len() as u64;
-        let file = format!("{}.hxm", sig.to_hex());
-        let path = self.root.join(&file);
-        // Artifact writes are atomic too: concurrent stores of the same
-        // signature (two tenants finishing the same node) each rename a
-        // private temp file into place — readers never see a torn file.
-        let tmp =
-            self.root.join(format!("{}.tmp-{}", file, UNIQUE.fetch_add(1, Ordering::Relaxed)));
-        let (io_result, write_nanos) = self.disk.run_write(bytes, || {
-            std::fs::write(&tmp, &encoded)?;
-            std::fs::rename(&tmp, &path)
-        });
-        io_result?;
-        self.register_entry(sig, owner, node_name, iteration, file, bytes, write_nanos, None);
-        self.journal_commit(&[JournalOp::Upsert(sig)])?;
-        Ok((bytes, write_nanos))
+        let (bytes, _, frame) = self.stage_owned(sig, owner, node_name, iteration, value)?;
+        Ok((bytes, self.complete_stage(sig, &frame)?))
     }
 
     /// Stage a materialization: all index bookkeeping happens *now* —
@@ -953,10 +943,10 @@ impl MaterializationCatalog {
     /// servable from the retained bytes — but the throttled file write is
     /// deferred to [`complete_stage`](Self::complete_stage) (which also
     /// seals the entry's journal frame) and the journal fsync to
-    /// [`commit_staged`](Self::commit_staged). The
-    /// reported write time is the disk model's *target* for the size (the
-    /// deterministic cost a serial engine would have paid); the measured
-    /// time is recorded on the entry when the write lands.
+    /// [`commit_staged`](Self::commit_staged). The reported write time is
+    /// the disk model's *target* for the size, the same wherever and
+    /// whenever the write lands; the measured time is recorded on the
+    /// entry when it does.
     ///
     /// Returns `(encoded bytes, modeled write nanos, encoded frame)`; the
     /// frame must be handed to `complete_stage` unchanged.
@@ -971,23 +961,46 @@ impl MaterializationCatalog {
         let encoded = Arc::new(encode_value(value));
         let bytes = encoded.len() as u64;
         let write_nanos = self.disk.write_target(bytes);
-        let file = format!("{}.hxm", sig.to_hex());
-        self.register_entry(
-            sig,
-            owner,
-            node_name,
-            iteration,
-            file,
+        let mut inner = self.inner.lock();
+        // Owners and writers accumulate across re-stores of the same
+        // signature.
+        let (prior_owners, prior_writers) = inner
+            .entries
+            .get(&sig)
+            .map(|e| (e.owners().to_vec(), e.writers().to_vec()))
+            .unwrap_or_default();
+        inner.remove_entry(sig);
+        let mut entry = CatalogEntry {
+            signature: sig.to_hex(),
+            file: format!("{}.hxm", sig.to_hex()),
             bytes,
+            node_name: node_name.to_string(),
+            created_iteration: iteration,
             write_nanos,
-            Some(Arc::clone(&encoded)),
-        );
+            measured_load_nanos: None,
+            owners: (!prior_owners.is_empty()).then_some(prior_owners),
+            writers: (!prior_writers.is_empty()).then_some(prior_writers),
+        };
+        entry.add_owner(owner);
+        entry.add_writer(owner);
+        let owners = entry.owners().to_vec();
+        inner.total_bytes += bytes;
+        inner.credit(&owners, bytes);
+        inner.entries.insert(sig, entry);
+        inner.pending.insert(sig, Arc::clone(&encoded));
+        let stats = inner.stats.entry(owner.to_string()).or_default();
+        stats.stores += 1;
+        stats.stored_bytes += bytes;
         Ok((bytes, write_nanos, encoded))
     }
 
-    /// Land a staged write: the throttled temp-write + atomic rename a
-    /// background writer performs off the critical path. Returns the
+    /// Land a staged write: the throttled temp-write + atomic rename,
+    /// run by a background writer off the critical path or inline by the
+    /// engine and [`store_owned`](Self::store_owned). Returns the
     /// measured write time (zero when the stage was already stale).
+    /// Concurrent stores of the same signature (two tenants finishing the
+    /// same node) each rename a private temp file into place, so readers
+    /// never see a torn file.
     ///
     /// Staleness is detected by `Arc` identity against the pending map:
     /// if the entry was released, quota-evicted, or re-stored between
@@ -997,8 +1010,8 @@ impl MaterializationCatalog {
     /// — a newer writer for the signature overwrites the same path, and
     /// a file nobody ends up referencing is swept at the next open.
     /// Crucially, this path never unlinks: deciding "orphan" here and
-    /// deleting outside the lock could destroy a concurrent
-    /// `store_owned`'s freshly renamed artifact for the same signature.
+    /// deleting outside the lock could destroy the freshly renamed
+    /// artifact of a newer stage for the same signature.
     pub fn complete_stage(&self, sig: Signature, encoded: &Arc<Vec<u8>>) -> Result<Nanos> {
         let fresh = |inner: &Inner| match inner.pending.get(&sig) {
             Some(current) => Arc::ptr_eq(current, encoded),
@@ -1034,8 +1047,7 @@ impl MaterializationCatalog {
         if landed {
             // The file is durable (renamed into place), so seal its
             // journal frame now: a crash before `commit_staged` recovers
-            // this entry — exactly what a serial engine crash after the
-            // same store would leave.
+            // this entry, and a store needs no `commit_staged` at all.
             self.journal_commit(&[JournalOp::Upsert(sig)])?;
         }
         Ok(write_nanos)
@@ -1057,53 +1069,6 @@ impl MaterializationCatalog {
     /// Number of staged entries whose file write has not landed yet.
     pub fn pending_stages(&self) -> usize {
         self.inner.lock().pending.len()
-    }
-
-    /// Shared index bookkeeping for `store_owned` and `stage_owned`.
-    #[allow(clippy::too_many_arguments)]
-    fn register_entry(
-        &self,
-        sig: Signature,
-        owner: &str,
-        node_name: &str,
-        iteration: u64,
-        file: String,
-        bytes: u64,
-        write_nanos: Nanos,
-        pending: Option<Arc<Vec<u8>>>,
-    ) {
-        let mut inner = self.inner.lock();
-        // Owners and writers accumulate across re-stores of the same
-        // signature.
-        let (prior_owners, prior_writers) = inner
-            .entries
-            .get(&sig)
-            .map(|e| (e.owners().to_vec(), e.writers().to_vec()))
-            .unwrap_or_default();
-        inner.remove_entry(sig);
-        let mut entry = CatalogEntry {
-            signature: sig.to_hex(),
-            file,
-            bytes,
-            node_name: node_name.to_string(),
-            created_iteration: iteration,
-            write_nanos,
-            measured_load_nanos: None,
-            owners: (!prior_owners.is_empty()).then_some(prior_owners),
-            writers: (!prior_writers.is_empty()).then_some(prior_writers),
-        };
-        entry.add_owner(owner);
-        entry.add_writer(owner);
-        let owners = entry.owners().to_vec();
-        inner.total_bytes += bytes;
-        inner.credit(&owners, bytes);
-        inner.entries.insert(sig, entry);
-        if let Some(encoded) = pending {
-            inner.pending.insert(sig, encoded);
-        }
-        let stats = inner.stats.entry(owner.to_string()).or_default();
-        stats.stores += 1;
-        stats.stored_bytes += bytes;
     }
 
     /// Load the artifact for `sig` (solo owner), recording the measured
@@ -1751,15 +1716,20 @@ mod tests {
         let cat = temp_catalog();
         let root = cat.root().to_path_buf();
         let sig = Signature::of_str("persistent");
-        cat.store(sig, "node", 3, &scalar(9.0)).unwrap();
+        cat.store_owned(sig, "alice", "node", 3, &scalar(9.0)).unwrap();
+        // A store returns with its stage landed and its frame sealed, so
+        // the reopen below needs no `commit_staged`.
+        assert_eq!(cat.pending_stages(), 0);
+        assert!(root.join(format!("{}.hxm", sig.to_hex())).exists());
         drop(cat);
 
         let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
         assert!(reopened.contains(sig));
         let entry = reopened.entry(sig).unwrap();
+        assert!(entry.is_owned_by("alice"), "replayed from the journal, not salvaged");
         assert_eq!(entry.node_name, "node");
         assert_eq!(entry.created_iteration, 3);
-        let (value, _) = reopened.load(sig).unwrap();
+        let (value, _, _) = reopened.load_for(sig, "alice").unwrap();
         assert_eq!(value.as_scalar().unwrap().as_f64(), Some(9.0));
     }
 
