@@ -83,6 +83,7 @@ impl Algo {
     /// kernel change that moves any bit of a model bumps it.
     fn kernel_version(&self) -> u32 {
         match self {
+            Algo::LogisticRegression { .. } => helix_ml::logistic::KERNEL_VERSION,
             Algo::Word2Vec { .. } => helix_ml::word2vec::KERNEL_VERSION,
             _ => 1,
         }
@@ -228,10 +229,13 @@ impl Operator for Predict {
                 let examples: Result<Vec<Example>> = ctx
                     .pool
                     .map(&batch.examples, |e| {
-                        let transformed = RandomFourierFeatures::transform(t, &e.features)?;
-                        let mut e = e.clone();
-                        e.features = transformed;
-                        Ok(e)
+                        Ok(Example {
+                            features: RandomFourierFeatures::transform(t, &e.features)?,
+                            label: e.label,
+                            split: e.split,
+                            prediction: e.prediction,
+                            tag: e.tag.clone(),
+                        })
                     })
                     .into_iter()
                     .collect();
@@ -372,23 +376,33 @@ mod tests {
     }
 
     #[test]
-    fn only_word2vec_renders_a_kernel_version() {
-        for algo in every_algo() {
+    fn lr_and_word2vec_render_their_kernel_versions() {
+        let versions = [
+            (Some(helix_ml::logistic::KERNEL_VERSION), "LR"),
+            (None, "KMeans"),
+            (Some(helix_ml::word2vec::KERNEL_VERSION), "Word2Vec"),
+            (None, "NB"),
+            (None, "RFF"),
+        ];
+        for (algo, (version, name)) in every_algo().into_iter().zip(versions) {
             let tokens = algo.sig_params();
+            assert_eq!(tokens[0], name);
             let kernel: Vec<&String> = tokens.iter().filter(|t| t.starts_with("kernel=")).collect();
-            if matches!(algo, Algo::Word2Vec { .. }) {
-                let want = format!("kernel={}", helix_ml::word2vec::KERNEL_VERSION);
-                assert_eq!(kernel, [&want], "{algo:?}");
-                assert!(algo.kernel_version() > 1);
-            } else {
-                assert!(kernel.is_empty(), "{algo:?} renders {kernel:?}");
-                assert_eq!(algo.kernel_version(), 1, "{algo:?}");
+            match version {
+                Some(v) => {
+                    assert_eq!(kernel, [&format!("kernel={v}")], "{algo:?}");
+                    assert!(v > 1 && algo.kernel_version() == v, "{algo:?}");
+                }
+                None => {
+                    assert!(kernel.is_empty(), "{algo:?} renders {kernel:?}");
+                    assert_eq!(algo.kernel_version(), 1, "{algo:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn the_word2vec_bump_moves_only_word2vec_signatures() {
+    fn kernel_bumps_move_only_their_learners_signatures() {
         use crate::operator::decl_signature;
         let mut wf = crate::dsl::Workflow::new("kernels");
         let data = wf.source("data", 1, |_| Ok(Value::examples(blob_examples(4))));
@@ -400,12 +414,22 @@ mod tests {
         {
             wf.learner(name, data, algo);
         }
-        let pre_bump = decl_signature("Learner", &["word2vec", "Word2Vec", "dim=32", "epochs=4"]);
-        assert_ne!(decl_sig(&wf, "word2vec"), pre_bump, "the new kernel must not load old models");
+        // The bumped learners' version-1 signatures: a catalog entry of
+        // the old kernel must never be loaded for the new one.
+        let pre_bump: [&[&str]; 2] = [
+            &["model", "LR", "l2=0.1", "epochs=5"],
+            &["word2vec", "Word2Vec", "dim=32", "epochs=4"],
+        ];
+        for rendered in pre_bump {
+            assert_ne!(
+                decl_sig(&wf, rendered[0]),
+                decl_signature("Learner", rendered),
+                "the new kernel must not load old models: {rendered:?}"
+            );
+        }
         // Every version-1 learner keeps the signature it had before kernel
         // versions existed, so its catalog entries stay valid.
-        let unchanged: [&[&str]; 4] = [
-            &["model", "LR", "l2=0.1", "epochs=5"],
+        let unchanged: [&[&str]; 3] = [
             &["kmeans", "KMeans", "k=4"],
             &["nb", "NB", "alpha=1"],
             &["rff", "RFF", "dim_out=64", "gamma=0.05"],

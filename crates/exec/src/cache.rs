@@ -72,7 +72,11 @@ impl SharedValueCache {
 
     /// Eager out-of-scope eviction; returns the bytes freed.
     pub fn evict(&self, node: u32) -> u64 {
-        match self.shard(node).lock().unwrap().remove(&node) {
+        // Bound to a local, so the shard guard, a temporary of this
+        // statement, is released before the value is freed: a large free
+        // must not block another worker's `get` or `put` on this shard.
+        let removed = self.shard(node).lock().unwrap().remove(&node);
+        match removed {
             Some((_, size)) => {
                 self.bytes.fetch_sub(size, Ordering::Relaxed);
                 self.count.fetch_sub(1, Ordering::Relaxed);

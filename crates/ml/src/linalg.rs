@@ -74,10 +74,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// overlap instead of each waiting on the last add's latency. Every row
 /// must be at least as long as `x`; terms past `x.len()` are not read.
 ///
-/// Interleaving *independent* sums keeps every bit, so RFF and LR, its
-/// callers, keep their kernel version. Reordering the terms of *one* sum
-/// (several accumulators per dot) changes bits: a kernel that does so
-/// bumps its kernel version, as word2vec's eight-lane dot did.
+/// Interleaving *independent* sums keeps every bit, so its callers, RFF's
+/// `transform` and LR's `scores`, compute exactly their one-accumulator
+/// sums. Reordering the terms of *one* sum (several accumulators per dot)
+/// changes bits: a kernel that does so bumps its kernel version, as the
+/// eight-lane dots of word2vec and LR training did (`lane_sum`).
 #[inline]
 pub fn dots<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], zero: f64, out: &mut [f64]) {
     for (c, out) in out.chunks_mut(4).enumerate() {
@@ -103,6 +104,15 @@ fn dot_n<const N: usize>(x: &[f64], rows: [&[f64]; N], zero: f64) -> [f64; N] {
         }
     }
     acc
+}
+
+/// The eight lane sums of an `f32` dot product, where lane `l` holds the
+/// terms `k ≡ l (mod 8)`, reduced as `((a0 + a4) + (a2 + a6)) + ((a1 +
+/// a5) + (a3 + a7))`. word2vec's and LR's training kernels specify their
+/// dot products by this tree.
+#[inline]
+pub(crate) fn lane_sum(a: [f32; 8]) -> f32 {
+    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
 }
 
 /// `a += b * scale` over equal-length dense slices.

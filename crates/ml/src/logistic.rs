@@ -8,41 +8,65 @@
 //! Training is deterministic given the seed: examples are shuffled with a
 //! `SplitMix64` stream per epoch.
 //!
-//! [`LogisticRegression::fit`] copies the filtered training set once per
-//! fit into a packed form every SGD step reads: one `(label, row)` per
-//! example in filter order, each sparse row's in-range entries back to
-//! back in a `u32` index slab and an `f64` value slab, and each dense
-//! row's first `dim` values borrowed in place. A step then touches its
-//! row's slab slices instead of chasing an `Example`, then its `indices`
-//! `Vec`, then its `values` `Vec` in shuffled order, which is where the
-//! time went: the paper's Census LR trains on 97 features with about 6
-//! set per row, and IE's on 11 with about 4. Packing copies values and
-//! drops only what the weight lookups and zips skipped (entries at
-//! `≥ dim`); the update sequence is the one an unpacked loop applies,
-//! bit for bit.
+//! # The update order and the arithmetic are the specification
 //!
-//! One-vs-rest heads are independent, so `fit` splits them into
-//! contiguous groups, one per pool worker, and trains the groups on
-//! [`WorkerPool::map`] over one shared packed set. Each group replays the
-//! same seeded shuffle and applies exactly the serial update sequence to
-//! its heads, so the model is bit-identical at any pool width and any
-//! core grant.
+//! A model's bits are those of one serial sequence in `f32`, widened to
+//! `f64` once when the model is returned. [`LogisticRegression::fit`]
+//! copies the labeled `Train` rows once, in example order, into `f32`:
+//! a dense row's first `dim` values, zero-padded to `width`, `dim`
+//! rounded up to a multiple of eight; a sparse row's entries with index
+//! `< dim`, values narrowed in entry order. Each head keeps `width` `f32`
+//! weights from zero and an `f64` bias from zero. Per epoch the rows are
+//! shuffled, `lr = learning_rate / (1 + epoch)` and `decay = 1 − lr·l2 /
+//! rows` are computed in `f64`, and `decay` is narrowed. Then for each
+//! row in shuffled order and each head in order:
 //!
-//! Within a group the heads are independent too: head `h`'s update reads
-//! and writes only `w_h` and `b_h`. So for each row a group first takes
-//! every head's `row · w_h`, on a dense row several heads' sums at once
-//! ([`linalg::dots`]), and then applies the updates in head order. Those
-//! dot products can wait on FP add latency together instead of one after
-//! another; MNIST's ten heads at dim 256 are that case. The rule that
-//! keeps every bit: independent sums may be interleaved, but one sum's
-//! term order may not change. [`LogisticRegression::scores`] interleaves
-//! its heads the same way.
+//! 1. `dot = row · w`. On a dense row, in eight lanes: lane `l` sums the
+//!    terms `k ≡ l (mod 8)` over all `width` terms, in order of `k`, from
+//!    zero, and the lanes reduce in word2vec's tree, `((a0 + a4) + (a2 +
+//!    a6)) + ((a1 + a5) + (a3 + a7))`. On a sparse row, one sum over the
+//!    entries in order, from zero;
+//! 2. `g = sigmoid(dot + b) − target` in `f64`, with `dot` widened, and
+//!    `scale = −lr·g` computed in `f64` and narrowed;
+//! 3. a dense row applies `w[k] = w[k]·decay + x[k]·scale` for every `k <
+//!    width`. The zero padding is arithmetic too: a padded term adds the
+//!    signed zero `0·scale`. A sparse row applies `w[k] *= decay` for
+//!    every `k`, then `w[j] += v·scale` per entry in order;
+//! 4. `b −= lr·g` in `f64`.
+//!
+//! A change to any of this changes the bits of a trained model, so it
+//! bumps [`KERNEL_VERSION`], which the `Learner` declaration folds into
+//! the model's signature. [`LogisticRegression::scores`] is outside it:
+//! it scores in `f64` over the widened weights.
+//!
+//! # How `fit` runs it
+//!
+//! The packed copy means an SGD step reads its row's slab slices instead
+//! of chasing an `Example` and its `Vec`s in shuffled order; the paper's
+//! Census LR trains on 97 features with about 6 set per row, and IE's on
+//! 11 with about 4.
+//!
+//! One-vs-rest heads are independent: head `h`'s update reads and writes
+//! only `w_h` and `b_h`. So `fit` splits the heads into contiguous
+//! groups, one per pool worker, and trains the groups on
+//! [`WorkerPool::map`] over the one packed set. Each group replays the
+//! same seeded shuffle, so the model is bit-identical at any pool width
+//! and any core grant. Within a group, each row first takes every head's
+//! dot product and then applies the updates in head order. A dense dot
+//! stores its eight lane sums before it reduces them, and the update is
+//! a flat loop over `width`; both compile to four-wide `f32` vector code.
 
-use crate::linalg::{self, sigmoid};
+use crate::linalg::{self, lane_sum, sigmoid};
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::{Example, FeatureVector, LinearModel, Split};
 use helix_exec::WorkerPool;
 use std::ops::Range;
+
+/// The version of the arithmetic [`LogisticRegression::fit`] applies
+/// (module docs). Version 1 trained in `f64` with one accumulator per dot
+/// product; version 2 trains in `f32` with eight-lane dense dot products.
+/// A change that moves any bit of a trained model bumps it.
+pub const KERNEL_VERSION: u32 = 2;
 
 /// Logistic-regression trainer configuration.
 #[derive(Clone, Debug)]
@@ -62,6 +86,9 @@ impl Default for LogisticRegression {
         LogisticRegression { l2: 0.1, epochs: 12, learning_rate: 0.5, seed: 42 }
     }
 }
+
+/// One head's `f32` weights, `width` long, and its `f64` bias.
+type Head = (Vec<f32>, f64);
 
 impl LogisticRegression {
     /// Builder-style constructor with the paper's `regParam`.
@@ -90,41 +117,33 @@ impl LogisticRegression {
         let ranges: Vec<Range<usize>> =
             (0..groups).map(|g| g * heads / groups..(g + 1) * heads / groups).collect();
         let trained =
-            pool.map(&ranges, |range| self.train_heads(&train, range.clone(), heads == 1, dim));
-        let (weights, bias) = trained.into_iter().flatten().unzip();
+            pool.map(&ranges, |range| self.train_heads(&train, range.clone(), heads == 1));
+        let widen = |(w, b): Head| (w[..dim].iter().map(|&x| f64::from(x)).collect(), b);
+        let (weights, bias) = trained.into_iter().flatten().map(widen).unzip();
         Ok(LinearModel { weights, bias, dim: dim as u32 })
     }
 
-    /// Train heads `range` with the serial SGD schedule: the same seeded
+    /// Train heads `range` with the module docs' sequence: the seeded
     /// shuffle every group replays, and per row, every head's dot product
     /// and then each head's update in turn.
     ///
-    /// The L2 shrink is an eager pass over all `dim` weights per row per
-    /// head; at the workloads' dims (97 for Census, 11 for IE) it costs
-    /// less than the row fetch the packed layout removed. A sparse row
-    /// takes that pass, then adds its entries' `v * scale` in index order.
-    /// A dense row fuses the two as `w = w * decay + x * scale` (the same
-    /// two roundings in the same order as a decay pass followed by the
-    /// add), with any tail past the feature vector decayed alone.
-    fn train_heads(
-        &self,
-        train: &Packed<'_>,
-        range: Range<usize>,
-        binary: bool,
-        dim: usize,
-    ) -> Vec<(Vec<f64>, f64)> {
-        let mut heads: Vec<(Vec<f64>, f64)> = vec![(vec![0.0; dim], 0.0); range.len()];
+    /// The L2 shrink is an eager pass over all `width` weights per row
+    /// per head; at the workloads' dims (97 for Census, 11 for IE) it
+    /// costs less than the row fetch the packed layout removed.
+    fn train_heads(&self, train: &Packed, range: Range<usize>, binary: bool) -> Vec<Head> {
+        let mut heads: Vec<Head> = vec![(vec![0.0; train.width], 0.0); range.len()];
         // Per row, every head's `row · w` before any head's update.
+        let mut lanes = vec![[0.0; 8]; range.len()];
         let mut dots = vec![0.0; range.len()];
         let mut order: Vec<usize> = (0..train.rows.len()).collect();
         let mut rng = SplitMix64::new(self.seed);
         for epoch in 0..self.epochs {
             rng.shuffle(&mut order);
             let lr = self.learning_rate / (1.0 + epoch as f64);
-            let decay = 1.0 - lr * self.l2 / train.rows.len() as f64;
+            let decay = (1.0 - lr * self.l2 / train.rows.len() as f64) as f32;
             for &i in &order {
                 let (label, row) = &train.rows[i];
-                train.dots(row, &heads, &mut dots);
+                train.dots(row, &heads, &mut lanes, &mut dots);
                 for ((h, (w, b)), dot) in range.clone().zip(heads.iter_mut()).zip(&dots) {
                     let target = if binary {
                         *label
@@ -133,28 +152,17 @@ impl LogisticRegression {
                     } else {
                         0.0
                     };
-                    let z = dot + *b;
-                    let gradient = sigmoid(z) - target;
-                    let scale = -lr * gradient;
+                    let gradient = sigmoid(f64::from(*dot) + *b) - target;
+                    let scale = (-lr * gradient) as f32;
                     match row {
-                        Row::Dense(x) if decay < 1.0 => {
-                            for (wj, x) in w.iter_mut().zip(*x) {
-                                *wj = *wj * decay + x * scale;
-                            }
-                            for wj in w.iter_mut().skip(x.len()) {
-                                *wj *= decay;
-                            }
-                        }
-                        Row::Dense(x) => {
-                            for (wj, x) in w.iter_mut().zip(*x) {
-                                *wj += x * scale;
+                        Row::Dense(span) => {
+                            for (wk, x) in w.iter_mut().zip(&train.dense[span.clone()]) {
+                                *wk = *wk * decay + x * scale;
                             }
                         }
                         Row::Sparse(span) => {
-                            if decay < 1.0 {
-                                for wj in w.iter_mut() {
-                                    *wj *= decay;
-                                }
+                            for wk in w.iter_mut() {
+                                *wk *= decay;
                             }
                             let (indices, values) = train.entries(span);
                             for (j, v) in indices.iter().zip(values) {
@@ -222,37 +230,54 @@ impl LogisticRegression {
 }
 
 /// One training row of a [`Packed`] set.
-enum Row<'a> {
-    /// A dense feature vector's first `dim` values, borrowed from its
-    /// example.
-    Dense(&'a [f64]),
+enum Row {
+    /// A dense row's span of the packed dense slab, `width` long.
+    Dense(Range<usize>),
     /// A sparse row's span of the packed index and value slabs.
     Sparse(Range<usize>),
 }
 
-/// The labeled `Train` rows of one fit, packed once and shared by every
-/// head group (see the module docs).
-struct Packed<'a> {
+/// The labeled `Train` rows of one fit in `f32`, packed once and shared
+/// by every head group (see the module docs).
+struct Packed {
     /// `(label, row)` per training example, in example order.
-    rows: Vec<(f64, Row<'a>)>,
+    rows: Vec<(f64, Row)>,
+    /// `dim` rounded up to a multiple of eight: the length of every dense
+    /// row and of every head's weights.
+    width: usize,
+    /// Every dense row's first `dim` values, zero-padded to `width`, back
+    /// to back.
+    dense: Vec<f32>,
     /// Every sparse row's entries with index `< dim`, back to back.
     indices: Vec<u32>,
     /// The values parallel to `indices`.
-    values: Vec<f64>,
+    values: Vec<f32>,
 }
 
-impl<'a> Packed<'a> {
-    fn new(examples: &'a [Example], dim: usize) -> Packed<'a> {
-        let mut packed = Packed { rows: Vec::new(), indices: Vec::new(), values: Vec::new() };
+impl Packed {
+    fn new(examples: &[Example], dim: usize) -> Packed {
+        let width = dim.next_multiple_of(8);
+        let mut packed = Packed {
+            rows: Vec::new(),
+            width,
+            dense: Vec::new(),
+            indices: Vec::new(),
+            values: Vec::new(),
+        };
         for example in examples.iter().filter(|e| e.split == Split::Train) {
             let Some(label) = example.label else { continue };
             let row = match &example.features {
-                FeatureVector::Dense(x) => Row::Dense(&x[..x.len().min(dim)]),
+                FeatureVector::Dense(x) => {
+                    let start = packed.dense.len();
+                    packed.dense.extend(x.iter().take(dim).map(|&v| v as f32));
+                    packed.dense.resize(start + width, 0.0);
+                    Row::Dense(start..start + width)
+                }
                 FeatureVector::Sparse { indices, values, .. } => {
                     let start = packed.indices.len();
                     for (j, v) in indices.iter().zip(values).filter(|(j, _)| (**j as usize) < dim) {
                         packed.indices.push(*j);
-                        packed.values.push(*v);
+                        packed.values.push(*v as f32);
                     }
                     Row::Sparse(start..packed.indices.len())
                 }
@@ -262,16 +287,31 @@ impl<'a> Packed<'a> {
         packed
     }
 
-    fn entries(&self, span: &Range<usize>) -> (&[u32], &[f64]) {
+    fn entries(&self, span: &Range<usize>) -> (&[u32], &[f32]) {
         (&self.indices[span.clone()], &self.values[span.clone()])
     }
 
-    /// `out[h] = row · w_h` for every head, each summed in the row's order
-    /// from `0.0` like [`FeatureVector::dot_dense`]. A dense row's heads
-    /// advance together through [`linalg::dots`].
-    fn dots(&self, row: &Row<'_>, heads: &[(Vec<f64>, f64)], out: &mut [f64]) {
+    /// `out[h] = row · w_h` for every head, summed as the module docs
+    /// say. A dense row's eight lane sums go through `lanes`: stored
+    /// there, they vectorize as two four-wide sums instead of four
+    /// two-wide ones.
+    fn dots(&self, row: &Row, heads: &[Head], lanes: &mut [[f32; 8]], out: &mut [f32]) {
         match row {
-            Row::Dense(x) => linalg::dots(x, |h| &heads[h].0, 0.0, out),
+            Row::Dense(span) => {
+                let (x, _) = self.dense[span.clone()].as_chunks::<8>();
+                for ((w, _), lanes) in heads.iter().zip(lanes.iter_mut()) {
+                    let mut a = [0.0f32; 8];
+                    for (xb, wb) in x.iter().zip(w.as_chunks::<8>().0) {
+                        for ((a, &xl), &wl) in a.iter_mut().zip(xb).zip(wb) {
+                            *a += xl * wl;
+                        }
+                    }
+                    *lanes = a;
+                }
+                for (out, lanes) in out.iter_mut().zip(lanes.iter()) {
+                    *out = lane_sum(*lanes);
+                }
+            }
             Row::Sparse(span) => {
                 let (indices, values) = self.entries(span);
                 for ((w, _), out) in heads.iter().zip(out) {
@@ -419,7 +459,9 @@ mod tests {
     }
 
     /// The specification of [`LogisticRegression::fit`]: every head on one
-    /// thread, one shared shuffle, a separate decay pass per update.
+    /// thread, one shared shuffle, each dot product summed term by term
+    /// into lane `k % 8`, and a separate decay pass before a sparse row's
+    /// adds.
     fn reference_fit(lr: &LogisticRegression, examples: &[Example], dim: usize) -> LinearModel {
         let train: Vec<&Example> =
             examples.iter().filter(|e| e.split == Split::Train && e.label.is_some()).collect();
@@ -427,17 +469,34 @@ mod tests {
             as usize
             + 1;
         let heads = if classes == 2 { 1 } else { classes };
-        let mut weights = vec![vec![0.0f64; dim]; heads];
+        let width = dim.div_ceil(8) * 8;
+        let mut weights = vec![vec![0.0f32; width]; heads];
         let mut bias = vec![0.0f64; heads];
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut rng = SplitMix64::new(lr.seed);
         for epoch in 0..lr.epochs {
             rng.shuffle(&mut order);
             let rate = lr.learning_rate / (1.0 + epoch as f64);
-            let decay = 1.0 - rate * lr.l2 / train.len() as f64;
+            let decay = (1.0 - rate * lr.l2 / train.len() as f64) as f32;
             for &i in &order {
                 let example = train[i];
                 let label = example.label.unwrap_or(0.0);
+                // The row in `f32`: a dense one cut at `dim` and
+                // zero-padded to `width`, a sparse one without the entries
+                // past `dim`.
+                let row = &example.features;
+                let (dense, entries): (Option<Vec<f32>>, Vec<(usize, f32)>) = match row {
+                    FeatureVector::Dense(x) => {
+                        let mut x: Vec<f32> = x.iter().take(dim).map(|&v| v as f32).collect();
+                        x.resize(width, 0.0);
+                        (Some(x), Vec::new())
+                    }
+                    FeatureVector::Sparse { indices, values, .. } => {
+                        let entries = indices.iter().zip(values).map(|(j, v)| (*j as usize, *v));
+                        let entries = entries.filter(|(j, _)| *j < dim);
+                        (None, entries.map(|(j, v)| (j, v as f32)).collect())
+                    }
+                };
                 for (h, (w, b)) in weights.iter_mut().zip(bias.iter_mut()).enumerate() {
                     let target = if heads == 1 {
                         label
@@ -446,19 +505,39 @@ mod tests {
                     } else {
                         0.0
                     };
-                    let z = example.features.dot_dense(w) + *b;
-                    let gradient = sigmoid(z) - target;
-                    if decay < 1.0 {
-                        for x in w.iter_mut() {
-                            *x *= decay;
+                    let dot = match &dense {
+                        Some(x) => {
+                            let mut a = [0.0f32; 8];
+                            for (k, (x, w)) in x.iter().zip(w.iter()).enumerate() {
+                                a[k % 8] += x * w;
+                            }
+                            ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
+                        }
+                        None => entries.iter().fold(0.0f32, |acc, &(j, v)| acc + v * w[j]),
+                    };
+                    let gradient = sigmoid(dot as f64 + *b) - target;
+                    let scale = (-rate * gradient) as f32;
+                    match &dense {
+                        Some(x) => {
+                            for (w, x) in w.iter_mut().zip(x) {
+                                *w = *w * decay + x * scale;
+                            }
+                        }
+                        None => {
+                            for w in w.iter_mut() {
+                                *w *= decay;
+                            }
+                            for &(j, v) in &entries {
+                                w[j] += v * scale;
+                            }
                         }
                     }
-                    example.features.add_scaled_to(w, -rate * gradient);
                     *b -= rate * gradient;
                 }
             }
         }
-        LinearModel { weights, bias, dim: dim as u32 }
+        let weights = weights.iter().map(|w| w[..dim].iter().map(|&x| x as f64).collect());
+        LinearModel { weights: weights.collect(), bias, dim: dim as u32 }
     }
 
     fn bits(model: &LinearModel) -> (Vec<Vec<u64>>, Vec<u64>) {
@@ -531,16 +610,16 @@ mod tests {
     }
 
     #[test]
-    fn fit_is_bit_identical_to_the_serial_reference_at_any_pool_width() {
+    fn fit_is_bit_identical_to_the_f32_reference_at_any_pool_width() {
         let no_l2 = LogisticRegression { l2: 0.0, ..Default::default() };
         let cases: [(&str, LogisticRegression, Vec<Example>, usize); 10] = [
             ("binary sparse", LogisticRegression::default(), sparse(120, 2, 12), 12),
             ("10-class dense", LogisticRegression::default(), dense(200, 10, &[8]), 8),
-            // Vectors shorter than the model: the tail past each one decays
-            // alone, and longer ones make that tail nonzero.
+            // Vectors shorter than the model: the tail past each one takes
+            // only padded terms, and longer ones make that tail nonzero.
             ("dense tail", LogisticRegression::default(), dense(90, 5, &[7, 3, 5]), 7),
             ("l2 = 0 dense", no_l2.clone(), dense(90, 4, &[5]), 5),
-            ("l2 = 0 sparse", no_l2, sparse(90, 3, 9), 9),
+            ("l2 = 0 sparse", no_l2.clone(), sparse(90, 3, 9), 9),
             // Every head group reads the one packed set.
             ("6-class sparse", LogisticRegression::default(), sparse(240, 6, 20), 20),
             // Indices 10..16 lie past the model: packing drops them.
@@ -560,9 +639,9 @@ mod tests {
             ),
         ];
         // Dense multiclass: across widths 1/2/3/4/16 the head groups
-        // leave every remainder of the four-head interleave. Rows longer
-        // than `dim` (the zip stops at `dim`), as long, and shorter.
-        let interleaved = [3, 5, 9, 10, 17].map(|k| {
+        // split 3 to 17 heads every way. Rows longer than `dim` (cut at
+        // `dim`), as long, and shorter.
+        let grouped = [3, 5, 9, 10, 17].map(|k| {
             (
                 format!("{k}-class dense"),
                 LogisticRegression::default(),
@@ -570,8 +649,28 @@ mod tests {
                 6,
             )
         });
+        // Every dense dim up to 80: each padding width of the eight-lane
+        // rows, at one, two and up to ten blocks. Each dim runs one
+        // setting in turn, and the block edges run all three.
+        type Lens = fn(usize) -> Vec<usize>;
+        let settings: [(LogisticRegression, usize, Lens); 3] = [
+            (LogisticRegression::default(), 2, |d| vec![d]),
+            (LogisticRegression::default(), 4, |d| vec![d + 3, d, d / 2]),
+            (no_l2, 3, |d| vec![d, d.saturating_sub(5)]),
+        ];
+        let mut dims = Vec::new();
+        for dim in 1..=80 {
+            let edge = [7, 8, 9, 15, 16, 17, 63, 64, 65].contains(&dim);
+            for (i, (trainer, classes, lens)) in settings.iter().enumerate() {
+                if edge || i == dim % settings.len() {
+                    let (lens, data) = (lens(dim), dense(8 * classes, *classes, &lens(dim)));
+                    let name = format!("dim {dim}, {classes} classes, lengths {lens:?}");
+                    dims.push((name, trainer.clone(), data, dim));
+                }
+            }
+        }
         let cases = cases.into_iter().map(|(name, t, data, dim)| (name.to_string(), t, data, dim));
-        for (name, trainer, data, dim) in cases.chain(interleaved) {
+        for (name, trainer, data, dim) in cases.chain(grouped).chain(dims) {
             let want = bits(&reference_fit(&trainer, &data, dim));
             for width in [1, 2, 3, 4, 16] {
                 let got = trainer.fit(&WorkerPool::new(width), &data, dim).unwrap();

@@ -43,6 +43,7 @@
 //! the model's signature: a catalog never serves a model trained by one
 //! kernel to a workflow that asks for another.
 
+use crate::linalg::lane_sum;
 use helix_common::{HelixError, Result, SplitMix64};
 use helix_data::EmbeddingModel;
 use std::collections::HashMap;
@@ -306,12 +307,6 @@ fn label(i: usize) -> f32 {
     } else {
         0.0
     }
-}
-
-/// The eight lane sums of a dot product, reduced in the module docs' order.
-#[inline]
-fn lane_sum(a: [f32; 8]) -> f32 {
-    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
 }
 
 /// The logistic function in `f32`, exact in both tails.
