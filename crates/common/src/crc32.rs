@@ -7,7 +7,7 @@
 //! path of a load and of the encode at an iteration's tail, and its speed
 //! matters: a table loop that takes one byte at a time runs at ≈ 270 MB/s
 //! on a 2-vCPU Xeon VM (3.7 ns a byte, more than half of the modelled
-//! 170 MB/s disk's 5.9 ns). [`Crc32::update`] is slicing-by-16: sixteen
+//! 170 MB/s disk's 5.9 ns). The update step is slicing-by-16: sixteen
 //! 256-entry tables, built at compile time, fold sixteen bytes per step,
 //! ≈ 2.2–2.4 GB/s on the same VM (8–9× the byte loop on a 3 MB buffer).
 //! A tail shorter than sixteen bytes runs the byte step. The values are
@@ -48,7 +48,7 @@ const fn tables() -> [[u32; 256]; 16] {
 
 /// Streaming CRC-32 state.
 #[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
+struct Crc32 {
     state: u32,
 }
 

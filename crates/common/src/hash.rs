@@ -100,19 +100,12 @@ impl Hasher for StableHasher {
     }
 }
 
-/// Hash a byte slice to a stable 64-bit value.
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write(bytes);
-    h.finish()
-}
-
 /// Combine two 64-bit hashes order-dependently.
 ///
 /// `combine(a, b) != combine(b, a)` in general, which is what Merkle
 /// chaining over *ordered* parent lists requires.
 #[inline]
-pub fn combine(a: u64, b: u64) -> u64 {
+fn combine(a: u64, b: u64) -> u64 {
     (a.rotate_left(5) ^ b).wrapping_mul(SEED)
 }
 
@@ -204,6 +197,12 @@ impl std::fmt::Display for Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = StableHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
 
     #[test]
     fn stable_across_instances() {

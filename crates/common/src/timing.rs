@@ -10,12 +10,6 @@ use std::time::Instant;
 /// Integer nanoseconds — the cost unit used throughout the optimizers.
 pub type Nanos = u64;
 
-/// Sentinel for "no equivalent materialization exists" (paper: `l_i = ∞`).
-///
-/// Chosen far below `u64::MAX` so sums of a few sentinels never overflow
-/// when accumulated into `i64`/`i128` profit arithmetic.
-pub const INFINITE_LOAD: Nanos = u64::MAX / 1024;
-
 /// Convert a `std::time::Duration` to [`Nanos`], saturating.
 pub fn duration_to_nanos(d: std::time::Duration) -> Nanos {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -44,12 +38,6 @@ impl Stopwatch {
     pub fn elapsed_nanos(&self) -> Nanos {
         duration_to_nanos(self.started.elapsed())
     }
-
-    /// Seconds since `start()` as `f64` (for reports only — never feed this
-    /// to the optimizers).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
 }
 
 /// Time a closure, returning its result and the elapsed nanoseconds.
@@ -74,13 +62,6 @@ mod tests {
         });
         assert_eq!(value, (0..10_000u64).map(|i| i.wrapping_mul(i)).fold(0u64, u64::wrapping_add));
         assert!(nanos > 0);
-    }
-
-    #[test]
-    fn infinite_load_headroom() {
-        // Summing thousands of sentinels must not overflow i128 profit math.
-        let total = (INFINITE_LOAD as u128) * 10_000;
-        assert!(total < i128::MAX as u128);
     }
 
     #[test]

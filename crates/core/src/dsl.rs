@@ -644,7 +644,7 @@ mod tests {
     use helix_data::{FieldValue, RecordBatch, Scalar};
 
     /// The paper's Census workflow (Figure 3a), on inline data.
-    pub fn census_workflow() -> Workflow {
+    fn census_workflow() -> Workflow {
         let mut wf = Workflow::new("census");
         let data = wf.source("data", 1, |_ctx| {
             Ok(Value::records(source::lines_batch(

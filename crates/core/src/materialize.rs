@@ -141,60 +141,60 @@ pub fn exact_omp<T>(
     (0..n).map(|i| best_mask & (1 << i) != 0).collect()
 }
 
-/// Simulate Algorithm 2's choices for a whole iteration offline (used by
-/// tests; the engine makes the same decisions online).
-/// `incurred` is each node's run time this iteration.
-pub fn streaming_omp_choices<T>(
-    dag: &Dag<T>,
-    strategy: MatStrategy,
-    incurred: &[Nanos],
-    load_nanos: &[Nanos],
-    sizes: &[u64],
-    executed: &[bool],
-    mut budget_bytes: u64,
-) -> Vec<bool> {
-    let order = dag.topo_order().expect("acyclic");
-    let mut chosen = vec![false; dag.len()];
-    for id in order {
-        if !executed[id.ix()] {
-            continue;
-        }
-        let c = cumulative_run_time(dag, incurred, id);
-        if should_materialize(strategy, c, load_nanos[id.ix()], sizes[id.ix()], budget_bytes) {
-            chosen[id.ix()] = true;
-            budget_bytes = budget_bytes.saturating_sub(sizes[id.ix()]);
-        }
-    }
-    chosen
-}
-
-/// Evaluate `T_M` (Equation 3) for a given materialization choice, under
-/// `W_{t+1} = W_t`.
-pub fn materialization_run_time<T>(
-    dag: &Dag<T>,
-    chosen: &[bool],
-    compute_nanos: &[Nanos],
-    load_nanos: &[Nanos],
-    outputs: &[bool],
-) -> Nanos {
-    let write_total: Nanos =
-        chosen.iter().zip(load_nanos).filter(|(c, _)| **c).map(|(_, l)| *l).sum();
-    let costs: Vec<NodeCosts> = (0..dag.len())
-        .map(|i| {
-            let mut c = NodeCosts::new(compute_nanos[i], chosen[i].then_some(load_nanos[i]));
-            if outputs[i] {
-                c = c.required();
-            }
-            c
-        })
-        .collect();
-    write_total.saturating_add(OepProblem::new(dag, &costs).solve().total_cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use helix_flow::{Dag, NodeId};
+
+    /// Simulate Algorithm 2's choices for a whole iteration offline (the
+    /// engine makes the same decisions online).
+    /// `incurred` is each node's run time this iteration.
+    fn streaming_omp_choices<T>(
+        dag: &Dag<T>,
+        strategy: MatStrategy,
+        incurred: &[Nanos],
+        load_nanos: &[Nanos],
+        sizes: &[u64],
+        executed: &[bool],
+        mut budget_bytes: u64,
+    ) -> Vec<bool> {
+        let order = dag.topo_order().expect("acyclic");
+        let mut chosen = vec![false; dag.len()];
+        for id in order {
+            if !executed[id.ix()] {
+                continue;
+            }
+            let c = cumulative_run_time(dag, incurred, id);
+            if should_materialize(strategy, c, load_nanos[id.ix()], sizes[id.ix()], budget_bytes) {
+                chosen[id.ix()] = true;
+                budget_bytes = budget_bytes.saturating_sub(sizes[id.ix()]);
+            }
+        }
+        chosen
+    }
+
+    /// Evaluate `T_M` (Equation 3) for a given materialization choice, under
+    /// `W_{t+1} = W_t`.
+    fn materialization_run_time<T>(
+        dag: &Dag<T>,
+        chosen: &[bool],
+        compute_nanos: &[Nanos],
+        load_nanos: &[Nanos],
+        outputs: &[bool],
+    ) -> Nanos {
+        let write_total: Nanos =
+            chosen.iter().zip(load_nanos).filter(|(c, _)| **c).map(|(_, l)| *l).sum();
+        let costs: Vec<NodeCosts> = (0..dag.len())
+            .map(|i| {
+                let mut c = NodeCosts::new(compute_nanos[i], chosen[i].then_some(load_nanos[i]));
+                if outputs[i] {
+                    c = c.required();
+                }
+                c
+            })
+            .collect();
+        write_total.saturating_add(OepProblem::new(dag, &costs).solve().total_cost)
+    }
 
     fn chain(n: usize) -> (Dag<()>, Vec<NodeId>) {
         let mut g = Dag::new();

@@ -99,7 +99,7 @@ impl Algo {
     /// declaration the tracker uses to fold the seed into the model
     /// node's signature. Naive Bayes is a closed-form count model: no
     /// seed, so its artifacts stay shareable across seeds.
-    pub fn is_seeded(&self) -> bool {
+    fn is_seeded(&self) -> bool {
         !matches!(self, Algo::NaiveBayes { .. })
     }
 }
@@ -255,7 +255,7 @@ impl Operator for Predict {
 
 /// Feature dimensionality of a batch: the space when named, else the max
 /// vector dimension (dense pipelines).
-pub fn example_dim(batch: &ExampleBatch) -> usize {
+fn example_dim(batch: &ExampleBatch) -> usize {
     let space_dim = batch.space.dim();
     if space_dim > 0 {
         space_dim

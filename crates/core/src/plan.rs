@@ -12,7 +12,6 @@ use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
 use helix_exec::Phase;
 use helix_flow::oep::{NodeCosts, OepProblem, State};
-use helix_flow::NodeId;
 use helix_storage::MaterializationCatalog;
 use std::collections::HashMap;
 
@@ -81,16 +80,6 @@ impl ReuseScope {
     }
 }
 
-/// Execution order: topological order restricted to non-pruned nodes.
-pub fn execution_order(wf: &Workflow, states: &[State]) -> Vec<NodeId> {
-    wf.dag()
-        .topo_order()
-        .expect("workflow DAG must be acyclic")
-        .into_iter()
-        .filter(|id| states[id.ix()] != State::Prune)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,8 +113,7 @@ mod tests {
             },
         );
         assert!(plan.states.iter().all(|s| *s == State::Compute));
-        let order = execution_order(&wf, &plan.states);
-        assert_eq!(order.len(), 3);
+        assert_eq!(plan.states.len(), 3);
     }
 
     #[test]
@@ -217,7 +205,6 @@ mod tests {
         let id = |n: &str| wf.node_by_name(n).unwrap().ix();
         assert_eq!(p.states[id("dead")], State::Prune, "no path to output");
         assert_eq!(p.states[id("live")], State::Compute);
-        let order = execution_order(&wf, &p.states);
-        assert_eq!(order.len(), 2);
+        assert_eq!(p.states.iter().filter(|s| **s != State::Prune).count(), 2);
     }
 }

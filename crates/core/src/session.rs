@@ -143,7 +143,7 @@ impl SessionConfig {
 
     /// The seed this configuration resolves to ([`DEFAULT_SEED`] when
     /// unset).
-    pub fn resolved_seed(&self) -> u64 {
+    fn resolved_seed(&self) -> u64 {
         self.seed.unwrap_or(DEFAULT_SEED)
     }
 

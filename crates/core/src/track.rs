@@ -43,7 +43,6 @@
 use crate::dsl::Workflow;
 use crate::operator::ProvenanceInputs;
 use helix_common::hash::Signature;
-use helix_flow::NodeId;
 use std::collections::HashMap;
 
 /// Domain tag under which the session seed is folded into signatures.
@@ -117,21 +116,6 @@ pub fn chain_signatures(
     sigs
 }
 
-/// Which nodes differ from the signatures recorded for the previous
-/// iteration (by node *name*)? Used for purging deprecated
-/// materializations and for reporting.
-pub fn changed_nodes(
-    wf: &Workflow,
-    sigs: &[Signature],
-    previous: &HashMap<String, Signature>,
-) -> Vec<NodeId> {
-    wf.dag()
-        .iter()
-        .filter(|(id, spec)| previous.get(&spec.name) != Some(&sigs[id.ix()]))
-        .map(|(id, _)| id)
-        .collect()
-}
-
 /// Snapshot `name → signature` for the next iteration's comparison.
 pub fn signature_snapshot(wf: &Workflow, sigs: &[Signature]) -> HashMap<String, Signature> {
     wf.dag().iter().map(|(id, spec)| (spec.name.clone(), sigs[id.ix()])).collect()
@@ -173,28 +157,6 @@ mod tests {
         assert_eq!(s1[id(&w1, "a")], s2[id(&w2, "a")], "upstream unchanged");
         assert_ne!(s1[id(&w1, "b")], s2[id(&w2, "b")], "changed node");
         assert_ne!(s1[id(&w1, "c")], s2[id(&w2, "c")], "descendant deprecated");
-    }
-
-    #[test]
-    fn changed_nodes_against_snapshot() {
-        let w1 = simple(1);
-        let none = HashMap::new();
-        let s1 = chain_signatures(&w1, &none, &ENV);
-        let snapshot = signature_snapshot(&w1, &s1);
-
-        // Same workflow: nothing changed.
-        assert!(changed_nodes(&w1, &s1, &snapshot).is_empty());
-
-        // Bump b: b and c change, a does not.
-        let w2 = simple(2);
-        let s2 = chain_signatures(&w2, &none, &ENV);
-        let changed = changed_nodes(&w2, &s2, &snapshot);
-        let names: Vec<&str> =
-            changed.iter().map(|id| w2.dag().payload(*id).name.as_str()).collect();
-        assert_eq!(names, vec!["b", "c"]);
-
-        // Empty snapshot (iteration 0): everything is original.
-        assert_eq!(changed_nodes(&w1, &s1, &HashMap::new()).len(), 3);
     }
 
     fn volatile_wf() -> Workflow {

@@ -168,20 +168,6 @@ impl ExampleBatch {
     pub fn is_empty(&self) -> bool {
         self.examples.is_empty()
     }
-
-    /// Iterate examples of one split.
-    pub fn split_examples(&self, split: Split) -> impl Iterator<Item = &Example> {
-        self.examples.iter().filter(move |e| e.split == split)
-    }
-
-    /// A new batch containing only `split` examples (used by `testData(..)`
-    /// style reducers).
-    pub fn filter_split(&self, split: Split) -> ExampleBatch {
-        ExampleBatch {
-            space: Arc::clone(&self.space),
-            examples: self.examples.iter().filter(|e| e.split == split).cloned().collect(),
-        }
-    }
 }
 
 impl ByteSized for ExampleBatch {
@@ -241,18 +227,6 @@ mod tests {
         let entries: Vec<(String, u32)> = s.entries().map(|(n, o)| (n.to_string(), o)).collect();
         let rebuilt = FeatureSpace::from_entries(entries);
         assert_eq!(rebuilt.signature(), s.signature());
-    }
-
-    #[test]
-    fn batch_split_filtering() {
-        let space = Arc::new(FeatureSpace::new());
-        let ex = |split| Example::new(FeatureVector::zeros(2), Some(1.0), split);
-        let batch =
-            ExampleBatch::new(space, vec![ex(Split::Train), ex(Split::Test), ex(Split::Train)]);
-        assert_eq!(batch.split_examples(Split::Train).count(), 2);
-        let test_only = batch.filter_split(Split::Test);
-        assert_eq!(test_only.len(), 1);
-        assert!(Arc::ptr_eq(&batch.space, &test_only.space));
     }
 
     #[test]

@@ -230,37 +230,6 @@ impl RecordBatch {
         self.rows.get(row).map(|r| &r.values[idx])
     }
 
-    /// Iterate rows of a given split.
-    pub fn split_rows(&self, split: Split) -> impl Iterator<Item = &Record> {
-        self.rows.iter().filter(move |r| r.split == split)
-    }
-
-    /// Parse CSV text into rows with inferred field types, tagging each row
-    /// with `split`. A very small CSV dialect: comma-separated, no quoting
-    /// (the paper's census input is unquoted), blank lines skipped.
-    pub fn parse_csv(
-        schema: Arc<Schema>,
-        text: &str,
-        split: Split,
-    ) -> helix_common::Result<RecordBatch> {
-        let mut rows = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let values: Vec<FieldValue> = line.split(',').map(FieldValue::infer).collect();
-            if values.len() != schema.arity() {
-                return Err(helix_common::HelixError::spec(format!(
-                    "csv line has {} cells, schema expects {}",
-                    values.len(),
-                    schema.arity()
-                )));
-            }
-            rows.push(Record { values, split });
-        }
-        Ok(RecordBatch { schema, rows })
-    }
-
     /// Concatenate two batches over the same schema.
     pub fn concat(mut self, other: RecordBatch) -> helix_common::Result<RecordBatch> {
         if self.schema != other.schema {
@@ -287,6 +256,16 @@ mod tests {
 
     fn schema() -> Arc<Schema> {
         Schema::new(["age", "education", "income"])
+    }
+
+    /// One row per non-blank line of `text`, cells typed by
+    /// [`FieldValue::infer`] and tagged `split`; arity is checked by
+    /// [`RecordBatch::new`].
+    fn csv(schema: Arc<Schema>, text: &str, split: Split) -> helix_common::Result<RecordBatch> {
+        let lines = text.lines().filter(|line| !line.trim().is_empty());
+        let rows = lines
+            .map(|line| Record { values: line.split(',').map(FieldValue::infer).collect(), split });
+        RecordBatch::new(schema, rows.collect())
     }
 
     #[test]
@@ -338,12 +317,12 @@ mod tests {
     #[test]
     fn csv_parsing_and_splits() {
         let s = schema();
-        let train = RecordBatch::parse_csv(s.clone(), "30,BS,1\n41,PhD,0\n", Split::Train).unwrap();
-        let test = RecordBatch::parse_csv(s, "55,MS,1\n", Split::Test).unwrap();
+        let train = csv(s.clone(), "30,BS,1\n41,PhD,0\n", Split::Train).unwrap();
+        let test = csv(s, "55,MS,1\n", Split::Test).unwrap();
         let all = train.concat(test).unwrap();
         assert_eq!(all.len(), 3);
-        assert_eq!(all.split_rows(Split::Train).count(), 2);
-        assert_eq!(all.split_rows(Split::Test).count(), 1);
+        let splits: Vec<Split> = all.rows.iter().map(|r| r.split).collect();
+        assert_eq!(splits, [Split::Train, Split::Train, Split::Test]);
         assert_eq!(all.cell(0, "education").unwrap().as_text(), Some("BS"));
         assert_eq!(all.cell(2, "age").unwrap().as_f64(), Some(55.0));
     }
@@ -351,7 +330,7 @@ mod tests {
     #[test]
     fn csv_bad_arity_rejected() {
         let s = schema();
-        assert!(RecordBatch::parse_csv(s, "1,2\n", Split::Train).is_err());
+        assert!(csv(s, "1,2\n", Split::Train).is_err());
     }
 
     #[test]
@@ -364,8 +343,8 @@ mod tests {
     #[test]
     fn byte_size_grows_with_rows() {
         let s = schema();
-        let small = RecordBatch::parse_csv(s.clone(), "30,BS,1\n", Split::Train).unwrap();
-        let large = RecordBatch::parse_csv(s, &"30,BS,1\n".repeat(100), Split::Train).unwrap();
+        let small = csv(s.clone(), "30,BS,1\n", Split::Train).unwrap();
+        let large = csv(s, &"30,BS,1\n".repeat(100), Split::Train).unwrap();
         // Schema overhead is shared, so compare row-attributable growth.
         assert!(large.byte_size() - small.byte_size() > 90 * small.rows[0].byte_size());
     }

@@ -74,11 +74,6 @@ impl UnitBatch {
     pub fn is_empty(&self) -> bool {
         self.units.is_empty()
     }
-
-    /// Iterate units restricted to a split.
-    pub fn split_units(&self, split: Split) -> impl Iterator<Item = &SemanticUnit> {
-        self.units.iter().filter(move |u| u.split == split)
-    }
 }
 
 impl ByteSized for UnitBatch {
@@ -99,7 +94,7 @@ mod tests {
             SemanticUnit::keyed(2, Split::Train, FeatureBundle::Empty, "BRCA1"),
         ]);
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch.split_units(Split::Train).count(), 2);
+        assert_eq!(batch.units.iter().filter(|u| u.split == Split::Train).count(), 2);
         assert_eq!(batch.units[2].key.as_deref(), Some("BRCA1"));
     }
 

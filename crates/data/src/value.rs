@@ -94,7 +94,7 @@ impl DataCollection {
     }
 
     /// Element-type name for error messages.
-    pub fn element_kind(&self) -> &'static str {
+    fn element_kind(&self) -> &'static str {
         match self {
             DataCollection::Records(_) => "records",
             DataCollection::Units(_) => "semantic-units",

@@ -39,9 +39,8 @@ use std::sync::{Condvar, Mutex};
 /// Leases may carry a **label** (the tenant that holds them):
 /// [`CoreBudget::acquire_one_labeled`] attributes the base token of a
 /// running iteration to its tenant, and
-/// [`leased_for`](CoreBudget::leased_for) /
-/// [`peak_leased_for`](CoreBudget::peak_leased_for) expose the per-label
-/// current and high-water counts. This is the per-tenant executing-core
+/// [`peak_leased_for`](CoreBudget::peak_leased_for) exposes the per-label
+/// high-water count. This is the per-tenant executing-core
 /// accounting the fair-share scheduler and `ServiceStats` report against;
 /// unlabeled leases (engine dispatch width, data-parallel chunks, I/O
 /// lanes) still count against the shared total only.
@@ -96,11 +95,6 @@ impl CoreBudget {
     /// High-water mark of simultaneously leased tokens.
     pub fn peak_leased(&self) -> usize {
         self.state.lock().expect("budget poisoned").peak
-    }
-
-    /// Tokens currently leased under `label`.
-    pub fn leased_for(&self, label: &str) -> usize {
-        self.state.lock().expect("budget poisoned").by_label.get(label).map_or(0, |c| c.leased)
     }
 
     /// High-water mark of tokens simultaneously leased under `label`.
@@ -210,6 +204,11 @@ impl Drop for CoreLease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tokens currently leased under `label`.
+    fn leased_for(budget: &CoreBudget, label: &str) -> usize {
+        budget.state.lock().unwrap().by_label.get(label).map_or(0, |c| c.leased)
+    }
     use std::sync::Arc;
 
     #[test]
@@ -235,18 +234,18 @@ mod tests {
         let a2 = budget.acquire_one_labeled("alice");
         let b = budget.acquire_one_labeled("bob");
         let _anon = budget.try_acquire(1);
-        assert_eq!(budget.leased_for("alice"), 2);
-        assert_eq!(budget.leased_for("bob"), 1);
-        assert_eq!(budget.leased_for("nobody"), 0);
+        assert_eq!(leased_for(&budget, "alice"), 2);
+        assert_eq!(leased_for(&budget, "bob"), 1);
+        assert_eq!(leased_for(&budget, "nobody"), 0);
         assert_eq!(budget.leased(), 4, "labels are attribution, not extra capacity");
         drop(a1);
         drop(b);
-        assert_eq!(budget.leased_for("alice"), 1);
-        assert_eq!(budget.leased_for("bob"), 0);
+        assert_eq!(leased_for(&budget, "alice"), 1);
+        assert_eq!(leased_for(&budget, "bob"), 0);
         assert_eq!(budget.peak_leased_for("alice"), 2, "per-label high-water mark sticks");
         assert_eq!(budget.peak_leased_for("bob"), 1);
         drop(a2);
-        assert_eq!(budget.leased_for("alice"), 0);
+        assert_eq!(leased_for(&budget, "alice"), 0);
         assert!(budget.peak_leased() <= budget.total());
     }
 
@@ -255,14 +254,14 @@ mod tests {
         let budget = CoreBudget::new(2);
         let a = budget.try_acquire_one_labeled("alice").expect("token free");
         assert_eq!(a.tokens(), 1);
-        assert_eq!(budget.leased_for("alice"), 1);
+        assert_eq!(leased_for(&budget, "alice"), 1);
         let b = budget.try_acquire_one_labeled("bob").expect("token free");
         assert!(budget.try_acquire_one_labeled("carol").is_none(), "budget exhausted");
-        assert_eq!(budget.leased_for("carol"), 0, "a refusal leases nothing");
+        assert_eq!(leased_for(&budget, "carol"), 0, "a refusal leases nothing");
         drop(a);
         drop(b);
         assert_eq!(budget.leased(), 0);
-        assert_eq!(budget.leased_for("alice"), 0);
+        assert_eq!(leased_for(&budget, "alice"), 0);
         assert_eq!(budget.peak_leased_for("alice"), 1);
     }
 

@@ -139,16 +139,6 @@ impl IterationMetrics {
     pub fn total_nanos(&self) -> Nanos {
         self.dpr_nanos + self.li_nanos + self.ppr_nanos + self.materialize_nanos
     }
-
-    /// Fractions of nodes in (computed, loaded, pruned) — Figure 8's
-    /// series.
-    pub fn state_fractions(&self) -> (f64, f64, f64) {
-        let total = (self.computed + self.loaded + self.pruned) as f64;
-        if total == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (self.computed as f64 / total, self.loaded as f64 / total, self.pruned as f64 / total)
-    }
 }
 
 /// Length of the union of half-open time intervals `(start, end)` — the
@@ -229,20 +219,6 @@ mod tests {
         m.record(r);
         assert_eq!(m.total_nanos(), 140);
         assert_eq!(m.materialized_bytes, 1024);
-    }
-
-    #[test]
-    fn state_fractions_sum_to_one() {
-        let mut m = IterationMetrics::new(0);
-        for _ in 0..2 {
-            m.record(run(Phase::Dpr, RunState::Computed, 1));
-        }
-        m.record(run(Phase::Ppr, RunState::Loaded, 1));
-        m.record(run(Phase::Ppr, RunState::Pruned, 0));
-        let (c, l, p) = m.state_fractions();
-        assert!((c + l + p - 1.0).abs() < 1e-12);
-        assert!((c - 0.5).abs() < 1e-12);
-        assert_eq!(IterationMetrics::new(0).state_fractions(), (0.0, 0.0, 0.0));
     }
 
     #[test]

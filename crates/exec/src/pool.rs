@@ -129,60 +129,6 @@ impl WorkerPool {
         out.into_iter().map(|r| r.expect("all slots filled")).collect()
     }
 
-    /// Fold each parallel chunk with `fold`, then combine chunk results
-    /// with `combine` (deterministic: chunking follows the nominal width
-    /// and combination happens in chunk order, independent of how many
-    /// threads the budget granted).
-    pub fn map_reduce<T, A, F, C>(&self, items: &[T], init: A, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send + Clone,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        if self.workers == 1 || items.len() <= 1 {
-            return items.iter().fold(init, &fold);
-        }
-        let chunk = items.len().div_ceil(self.workers);
-        let pieces: Vec<&[T]> = items.chunks(chunk).collect();
-        let mut partials: Vec<Option<A>> = Vec::with_capacity(pieces.len());
-        partials.resize_with(pieces.len(), || None);
-        // Init clones are made up front on the caller thread so worker
-        // closures never touch `init` itself (keeps the bounds at
-        // `A: Send + Clone`, no `Sync` required).
-        let mut jobs: Vec<(&[T], &mut Option<A>, A)> = Vec::new();
-        {
-            let mut remaining: &mut [Option<A>] = &mut partials;
-            for piece in pieces {
-                let (slot, rest) = remaining.split_at_mut(1);
-                remaining = rest;
-                jobs.push((piece, &mut slot[0], init.clone()));
-            }
-        }
-        let (extra, lease) = self.lease_extra(jobs.len() - 1);
-        let queue = Mutex::new(jobs.into_iter());
-        let work = || loop {
-            let job = queue.lock().expect("map_reduce queue poisoned").next();
-            let Some((piece, slot, seed)) = job else { break };
-            *slot = Some(piece.iter().fold(seed, &fold));
-        };
-        if extra == 0 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                let worker = &work;
-                for _ in 0..extra {
-                    scope.spawn(worker);
-                }
-                work();
-            });
-        }
-        drop(lease);
-        let mut iter = partials.into_iter().map(|p| p.expect("all partials filled"));
-        let first = iter.next().unwrap_or(init);
-        iter.fold(first, combine)
-    }
-
     /// Run `coordinator` with a dynamic work-submission handle backed by
     /// `self.workers` scoped threads.
     ///
@@ -394,17 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_matches_serial() {
-        let items: Vec<u64> = (1..=100).collect();
-        let serial: u64 = items.iter().sum();
-        for workers in [1, 3, 8] {
-            let pool = WorkerPool::new(workers);
-            let total = pool.map_reduce(&items, 0u64, |acc, x| acc + x, |a, b| a + b);
-            assert_eq!(total, serial, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn zero_workers_clamped_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
@@ -538,20 +473,6 @@ mod tests {
             assert_eq!(pool.map(&items, |x| x * 3 + 1), expected, "total={total} hold={hold}");
             assert_eq!(budget.leased(), hold, "map lease released");
         }
-    }
-
-    #[test]
-    fn budgeted_map_reduce_is_grant_invariant() {
-        let items: Vec<u64> = (1..=1000).collect();
-        let expected = WorkerPool::new(8).map_reduce(&items, 0u64, |acc, x| acc + x, |a, b| a + b);
-        let budget = Arc::new(CoreBudget::new(1));
-        // Whole budget consumed elsewhere: map_reduce must run inline and
-        // still produce the identical (chunk-ordered) result.
-        let _hold = budget.acquire_one();
-        let pool = WorkerPool::budgeted(8, Arc::clone(&budget));
-        let total = pool.map_reduce(&items, 0u64, |acc, x| acc + x, |a, b| a + b);
-        assert_eq!(total, expected);
-        assert_eq!(budget.peak_leased(), 1, "no extra thread was ever backed");
     }
 
     #[test]

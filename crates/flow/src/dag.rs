@@ -111,7 +111,7 @@ impl<T> Dag<T> {
     }
 
     /// All node ids in insertion order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.payloads.len() as u32).map(NodeId)
     }
 
@@ -126,16 +126,6 @@ impl<T> Dag<T> {
             .iter()
             .enumerate()
             .flat_map(|(i, cs)| cs.iter().map(move |c| (NodeId(i as u32), *c)))
-    }
-
-    /// Roots (no parents), in insertion order.
-    pub fn roots(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|n| self.parents(*n).is_empty()).collect()
-    }
-
-    /// Sinks (no children), in insertion order.
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|n| self.children(*n).is_empty()).collect()
     }
 
     /// Kahn topological order; errors on cycles. Ties are broken by node id
@@ -170,39 +160,8 @@ impl<T> Dag<T> {
         Ok(order)
     }
 
-    /// Every node from which some node in `targets` is reachable,
-    /// *including* the targets — i.e. the backward slice used by workflow
-    /// pruning (paper §5.4: "traverses the DAG backwards from the output
-    /// nodes and prunes away any nodes not visited").
-    pub fn ancestors_of(&self, targets: &[NodeId]) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<NodeId> = targets.to_vec();
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.ix()], true) {
-                continue;
-            }
-            stack.extend_from_slice(self.parents(n));
-        }
-        seen
-    }
-
-    /// Every node reachable from `sources`, including the sources — the
-    /// forward slice used to propagate originality to descendants
-    /// (paper Definition 2: equivalence requires equivalent parents).
-    pub fn descendants_of(&self, sources: &[NodeId]) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<NodeId> = sources.to_vec();
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.ix()], true) {
-                continue;
-            }
-            stack.extend_from_slice(self.children(n));
-        }
-        seen
-    }
-
     /// In-degree (parent count) per node, aligned with node ids.
-    pub fn in_degrees(&self) -> Vec<usize> {
+    fn in_degrees(&self) -> Vec<usize> {
         self.parents.iter().map(Vec::len).collect()
     }
 
@@ -300,11 +259,6 @@ impl<'a, T> Frontier<'a, T> {
         self.outstanding
     }
 
-    /// True once every node has completed.
-    pub fn is_complete(&self) -> bool {
-        self.outstanding == 0
-    }
-
     /// Record `node` as completed, returning the nodes that became ready
     /// *because of it* (ascending by id). The same nodes are also added to
     /// [`ready`](Self::ready) for callers that poll instead. Panics on
@@ -362,8 +316,10 @@ mod tests {
         assert_eq!(g.edge_count(), 8);
         assert_eq!(g.parents(ns[3]), &[ns[0], ns[1]]);
         assert_eq!(g.children(ns[4]), &[ns[5], ns[7]]);
-        assert_eq!(g.roots(), vec![ns[0], ns[1], ns[2]]);
-        assert_eq!(g.sinks(), vec![ns[7]]);
+        let roots: Vec<NodeId> = g.node_ids().filter(|n| g.parents(*n).is_empty()).collect();
+        assert_eq!(roots, vec![ns[0], ns[1], ns[2]]);
+        let sinks: Vec<NodeId> = g.node_ids().filter(|n| g.children(*n).is_empty()).collect();
+        assert_eq!(sinks, vec![ns[7]]);
     }
 
     #[test]
@@ -411,38 +367,6 @@ mod tests {
         g.add_edge(b, c).unwrap();
         g.add_edge(c, a).unwrap();
         assert!(g.topo_order().is_err());
-    }
-
-    #[test]
-    fn backward_slice_matches_paper_pruning() {
-        // Census Figure 3b: raceExt has no path to the output and is pruned.
-        let mut g = Dag::new();
-        let data = g.add_node("data");
-        let rows = g.add_node("rows");
-        let race_ext = g.add_node("raceExt");
-        let edu_ext = g.add_node("eduExt");
-        let income = g.add_node("income");
-        let checked = g.add_node("checked");
-        g.add_edge(data, rows).unwrap();
-        g.add_edge(rows, race_ext).unwrap();
-        g.add_edge(rows, edu_ext).unwrap();
-        g.add_edge(edu_ext, income).unwrap();
-        g.add_edge(income, checked).unwrap();
-        let live = g.ancestors_of(&[checked]);
-        assert!(live[data.ix()] && live[rows.ix()] && live[edu_ext.ix()]);
-        assert!(!live[race_ext.ix()], "raceExt must be sliced away");
-    }
-
-    #[test]
-    fn forward_slice_propagates_originality() {
-        let (g, ns) = figure4();
-        let dirty = g.descendants_of(&[ns[4]]); // n5 changed
-        for i in [4, 5, 6, 7] {
-            assert!(dirty[i], "n{} downstream of n5", i + 1);
-        }
-        for i in [0, 1, 2, 3] {
-            assert!(!dirty[i], "n{} not downstream of n5", i + 1);
-        }
     }
 
     #[test]
@@ -506,9 +430,8 @@ mod tests {
         assert_eq!(frontier.complete(ns[4]), vec![ns[5]]);
         assert_eq!(frontier.complete(ns[5]), vec![ns[6]]);
         assert_eq!(frontier.complete(ns[6]), vec![ns[7]]);
-        assert!(!frontier.is_complete());
+        assert_eq!(frontier.outstanding(), 1);
         assert!(frontier.complete(ns[7]).is_empty());
-        assert!(frontier.is_complete());
         assert_eq!(frontier.outstanding(), 0);
     }
 
@@ -542,7 +465,7 @@ mod tests {
             seen.push(n);
             frontier.complete(n);
         }
-        assert!(frontier.is_complete());
+        assert_eq!(frontier.outstanding(), 0);
         assert_eq!(seen.len(), 8);
         // Min-id-first frontier drain reproduces the canonical topo order.
         assert_eq!(seen, g.topo_order().unwrap());

@@ -27,11 +27,6 @@ impl Default for KMeans {
 }
 
 impl KMeans {
-    /// `k`-cluster configuration with defaults elsewhere.
-    pub fn with_k(k: usize) -> KMeans {
-        KMeans { k, ..Default::default() }
-    }
-
     /// Fit centroids to `points`.
     pub fn fit(&self, points: &[FeatureVector]) -> Result<CentroidModel> {
         if self.k == 0 {
@@ -161,7 +156,7 @@ mod tests {
     fn recovers_planted_clusters() {
         let centers = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)];
         let points = planted_blobs(60, &centers, 5);
-        let model = KMeans::with_k(3).fit(&points).unwrap();
+        let model = KMeans { k: 3, ..Default::default() }.fit(&points).unwrap();
         // Each planted blob should map to a single distinct centroid.
         let mut blob_to_cluster = Vec::new();
         for b in 0..3 {
@@ -182,8 +177,8 @@ mod tests {
     #[test]
     fn inertia_decreases_with_more_clusters() {
         let points = planted_blobs(40, &[(0.0, 0.0), (8.0, 8.0), (0.0, 8.0), (8.0, 0.0)], 9);
-        let i2 = KMeans::with_k(2).fit(&points).unwrap().inertia;
-        let i4 = KMeans::with_k(4).fit(&points).unwrap().inertia;
+        let i2 = KMeans { k: 2, ..Default::default() }.fit(&points).unwrap().inertia;
+        let i4 = KMeans { k: 4, ..Default::default() }.fit(&points).unwrap().inertia;
         assert!(i4 < i2, "k=4 inertia {i4} should beat k=2 {i2}");
     }
 
@@ -195,7 +190,7 @@ mod tests {
                 FeatureVector::sparse_from_pairs(8, vec![(idx, 10.0)])
             })
             .collect();
-        let model = KMeans::with_k(2).fit(&points).unwrap();
+        let model = KMeans { k: 2, ..Default::default() }.fit(&points).unwrap();
         let a = KMeans::assign(&model, &points[0]);
         let b = KMeans::assign(&model, &points[1]);
         assert_ne!(a, b);
@@ -205,17 +200,17 @@ mod tests {
     #[test]
     fn errors_on_bad_inputs() {
         let points = planted_blobs(2, &[(0.0, 0.0)], 1);
-        assert!(KMeans::with_k(0).fit(&points).is_err());
-        assert!(KMeans::with_k(10).fit(&points).is_err());
+        assert!(KMeans { k: 0, ..Default::default() }.fit(&points).is_err());
+        assert!(KMeans { k: 10, ..Default::default() }.fit(&points).is_err());
         let mixed = vec![FeatureVector::zeros(2), FeatureVector::zeros(3)];
-        assert!(KMeans::with_k(1).fit(&mixed).is_err());
+        assert!(KMeans { k: 1, ..Default::default() }.fit(&mixed).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let points = planted_blobs(30, &[(0.0, 0.0), (5.0, 5.0)], 3);
-        let a = KMeans::with_k(2).fit(&points).unwrap();
-        let b = KMeans::with_k(2).fit(&points).unwrap();
+        let a = KMeans { k: 2, ..Default::default() }.fit(&points).unwrap();
+        let b = KMeans { k: 2, ..Default::default() }.fit(&points).unwrap();
         assert_eq!(a, b);
     }
 
@@ -223,7 +218,7 @@ mod tests {
     fn duplicate_points_handled() {
         let points: Vec<FeatureVector> =
             (0..10).map(|_| FeatureVector::Dense(vec![1.0, 1.0])).collect();
-        let model = KMeans::with_k(3).fit(&points).unwrap();
+        let model = KMeans { k: 3, ..Default::default() }.fit(&points).unwrap();
         assert_eq!(model.centroids.len(), 3);
         assert!(model.inertia < 1e-9);
     }

@@ -11,19 +11,17 @@
 //!   clustering step).
 //! * [`word2vec`] — skip-gram with negative sampling (Genomics embedding
 //!   step, paper citation 46).
-//! * [`naive_bayes`] — multinomial naive Bayes (used by ablations and as
+//! * [`NaiveBayes`] — multinomial naive Bayes (used by ablations and as
 //!   an alternative L/I operator).
 //! * [`rff`] — random Fourier features (the MNIST workload's
 //!   non-deterministic featurization, from the KeystoneML pipeline).
-//! * [`pca`] — power-iteration PCA, the deterministic counterpart used by
-//!   the volatility ablation.
 //! * [`preprocess`] — learned DPR transforms: standard scaler, quantile
 //!   bucketizer (Census `Bucketizer(ageExt, bins=10)`), string indexer.
 //! * [`text`] — tokenization, stop words, n-grams, sentence splitting and
 //!   a rule-based part-of-speech-style tagger (IE workload features; the
 //!   paper used CoreNLP).
-//! * [`metrics`] — accuracy, precision/recall/F1, log-loss, and normalized
-//!   mutual information for clustering quality.
+//! * [`metrics`] — accuracy, precision/recall/F1, and normalized mutual
+//!   information for clustering quality.
 //! * [`linalg`] — the small shared numeric kernels.
 //!
 //! Every algorithm takes an explicit seed and is deterministic given it.
@@ -37,8 +35,7 @@ pub mod kmeans;
 pub mod linalg;
 pub mod logistic;
 pub mod metrics;
-pub mod naive_bayes;
-pub mod pca;
+mod naive_bayes;
 pub mod preprocess;
 pub mod rff;
 pub mod text;
@@ -47,6 +44,5 @@ pub mod word2vec;
 pub use kmeans::KMeans;
 pub use logistic::LogisticRegression;
 pub use naive_bayes::NaiveBayes;
-pub use pca::Pca;
 pub use rff::RandomFourierFeatures;
 pub use word2vec::Word2Vec;

@@ -12,23 +12,6 @@ pub fn sigmoid(z: f64) -> f64 {
     }
 }
 
-/// log(Σ exp(xᵢ)) without overflow.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if m.is_infinite() {
-        return m;
-    }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
-}
-
-/// In-place softmax.
-pub fn softmax_in_place(xs: &mut [f64]) {
-    let lse = log_sum_exp(xs);
-    for x in xs.iter_mut() {
-        *x = (*x - lse).exp();
-    }
-}
-
 /// Index of the maximum element (first on ties); `None` when empty.
 pub fn argmax(xs: &[f64]) -> Option<usize> {
     if xs.is_empty() {
@@ -115,15 +98,6 @@ pub(crate) fn lane_sum(a: [f32; 8]) -> f32 {
     ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
 }
 
-/// `a += b * scale` over equal-length dense slices.
-#[inline]
-pub fn axpy(a: &mut [f64], b: &[f64], scale: f64) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y * scale;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,21 +109,6 @@ mod tests {
         assert!(sigmoid(1000.0) <= 1.0);
         assert!(sigmoid(-1000.0) >= 0.0);
         assert!(sigmoid(-1000.0) < 1e-10);
-    }
-
-    #[test]
-    fn log_sum_exp_stability() {
-        let xs = [1000.0, 1000.0];
-        assert!((log_sum_exp(&xs) - (1000.0 + 2f64.ln())).abs() < 1e-9);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn softmax_sums_to_one() {
-        let mut xs = [1.0, 2.0, 3.0];
-        softmax_in_place(&mut xs);
-        assert!((xs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(xs[2] > xs[1] && xs[1] > xs[0]);
     }
 
     #[test]
@@ -168,10 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_axpy() {
-        let mut a = vec![1.0, 2.0];
-        axpy(&mut a, &[10.0, 20.0], 0.5);
-        assert_eq!(a, vec![6.0, 12.0]);
-        assert_eq!(dot(&a, &[1.0, 1.0]), 18.0);
+    fn dot_sums_products() {
+        assert_eq!(dot(&[6.0, 12.0], &[1.0, 1.0]), 18.0);
+        assert_eq!(dot(&[1.0, 2.0], &[10.0, 20.0]), 50.0);
     }
 }

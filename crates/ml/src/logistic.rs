@@ -91,11 +91,6 @@ impl Default for LogisticRegression {
 type Head = (Vec<f32>, f64);
 
 impl LogisticRegression {
-    /// Builder-style constructor with the paper's `regParam`.
-    pub fn with_reg(l2: f64) -> LogisticRegression {
-        LogisticRegression { l2, ..Default::default() }
-    }
-
     /// Fit on the `Train` split of `examples`. Labels must be integers in
     /// `0..k`; `k = 2` yields a single-score binary model, trained inline.
     /// A multiclass model trains its one-vs-rest heads in `pool.workers()`
@@ -213,18 +208,6 @@ impl LogisticRegression {
             }
         } else {
             crate::linalg::argmax(&scores).unwrap_or(0) as f64
-        }
-    }
-
-    /// Run inference over a slice of examples, filling `prediction`.
-    pub fn predict_all(model: &LinearModel, examples: &mut [Example]) {
-        for e in examples.iter_mut() {
-            let scores = Self::scores(model, &e.features);
-            e.prediction = Some(if scores.len() == 1 {
-                scores[0]
-            } else {
-                crate::linalg::argmax(&scores).unwrap_or(0) as f64
-            });
         }
     }
 }
@@ -448,14 +431,6 @@ mod tests {
     fn no_training_data_is_an_error() {
         let data = vec![example(vec![1.0], 1.0, Split::Test)];
         assert!(LogisticRegression::default().fit(&WorkerPool::serial(), &data, 1).is_err());
-    }
-
-    #[test]
-    fn predict_all_fills_predictions() {
-        let mut data = blobs(50, 2);
-        let model = LogisticRegression::default().fit(&WorkerPool::serial(), &data, 2).unwrap();
-        LogisticRegression::predict_all(&model, &mut data);
-        assert!(data.iter().all(|e| e.prediction.is_some()));
     }
 
     /// The specification of [`LogisticRegression::fit`]: every head on one

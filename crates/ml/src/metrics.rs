@@ -91,22 +91,6 @@ impl Confusion {
     }
 }
 
-/// Binary cross-entropy of probabilistic predictions.
-pub fn log_loss(pairs: &[(f64, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let eps = 1e-12;
-    let total: f64 = pairs
-        .iter()
-        .map(|(truth, pred)| {
-            let p = pred.clamp(eps, 1.0 - eps);
-            -(truth * p.ln() + (1.0 - truth) * (1.0 - p).ln())
-        })
-        .sum();
-    total / pairs.len() as f64
-}
-
 /// Normalized mutual information between two labelings (clustering vs
 /// planted truth); in `[0, 1]`, 1 = identical partitions.
 pub fn normalized_mutual_information(a: &[usize], b: &[usize]) -> f64 {
@@ -191,16 +175,6 @@ mod tests {
         assert_eq!(none_predicted.f1(), 0.0);
         let no_positives = Confusion::from_pairs(&[(0.0, 0.0)]);
         assert_eq!(no_positives.recall(), 0.0);
-    }
-
-    #[test]
-    fn log_loss_prefers_confident_correct() {
-        let good = log_loss(&[(1.0, 0.99), (0.0, 0.01)]);
-        let bad = log_loss(&[(1.0, 0.01), (0.0, 0.99)]);
-        assert!(good < 0.05);
-        assert!(bad > 3.0);
-        // Extreme predictions must not produce infinities.
-        assert!(log_loss(&[(1.0, 0.0)]).is_finite());
     }
 
     #[test]

@@ -42,13 +42,13 @@ pub fn tokenize_cased(text: &str) -> Vec<String> {
 
 /// Minimal English stop-word list (enough to shrink feature spaces in the
 /// workloads; not a linguistics claim).
-pub const STOP_WORDS: [&str; 24] = [
+const STOP_WORDS: [&str; 24] = [
     "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "has", "in", "is", "it", "of",
     "on", "or", "that", "the", "to", "was", "were", "with", "this",
 ];
 
 /// True when `token` is a stop word (expects lowercase input).
-pub fn is_stop_word(token: &str) -> bool {
+fn is_stop_word(token: &str) -> bool {
     STOP_WORDS.contains(&token)
 }
 
@@ -88,7 +88,7 @@ pub enum PosTag {
 /// Rule-based tagger over *cased* tokens. `position` is the token index
 /// within its sentence (sentence-initial capitalization is not evidence of
 /// a proper noun).
-pub fn pos_tag(token: &str, position: usize) -> PosTag {
+fn pos_tag(token: &str, position: usize) -> PosTag {
     if token.chars().all(|c| c.is_ascii_digit()) {
         return PosTag::Number;
     }

@@ -284,20 +284,6 @@ impl Word2Vec {
     pub fn similarity(model: &EmbeddingModel, a: &str, b: &str) -> Option<f64> {
         Some(crate::linalg::cosine(model.embedding(a)?, model.embedding(b)?))
     }
-
-    /// `n` most similar in-vocabulary tokens to `token`.
-    pub fn most_similar(model: &EmbeddingModel, token: &str, n: usize) -> Vec<(String, f64)> {
-        let Some(target) = model.embedding(token) else { return Vec::new() };
-        let mut scored: Vec<(String, f64)> = model
-            .vocab
-            .keys()
-            .filter(|t| t.as_str() != token)
-            .filter_map(|t| Some((t.clone(), crate::linalg::cosine(target, model.embedding(t)?))))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(n);
-        scored
-    }
 }
 
 /// The label of a pair's sample `i`: the context is 1, a negative 0.
@@ -370,17 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn most_similar_prefers_same_topic() {
-        let corpus = planted_corpus(120);
-        let model = Word2Vec { dim: 16, epochs: 4, ..Default::default() }.fit(&corpus).unwrap();
-        let neighbors = Word2Vec::most_similar(&model, "sun", 3);
-        assert_eq!(neighbors.len(), 3);
-        let celestial = ["moon", "sky", "star", "orbit"];
-        let hits = neighbors.iter().filter(|(t, _)| celestial.contains(&t.as_str())).count();
-        assert!(hits >= 2, "neighbors of 'sun' were {neighbors:?}");
-    }
-
-    #[test]
     fn min_count_filters_rare_tokens() {
         let corpus = vec![
             vec!["common".to_string(), "common".to_string(), "rare".to_string()],
@@ -421,7 +396,6 @@ mod tests {
         let corpus = planted_corpus(5);
         let model = Word2Vec { dim: 4, epochs: 1, ..Default::default() }.fit(&corpus).unwrap();
         assert!(Word2Vec::similarity(&model, "cat", "nonexistent").is_none());
-        assert!(Word2Vec::most_similar(&model, "nonexistent", 3).is_empty());
     }
 
     /// The specification of [`Word2Vec::fit`]: the serial per-sample loop

@@ -169,11 +169,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -314,7 +309,7 @@ mod tests {
     fn registry_snapshot_is_sorted_and_shared() {
         let r = Registry::new();
         r.counter("b.count").add(2);
-        r.counter("a.count").incr();
+        r.counter("a.count").add(1);
         r.gauge("depth").set(-3);
         r.histogram("lat").record(100);
         r.histogram("lat").record(300); // same instrument via name

@@ -190,7 +190,7 @@ pub fn trace_env_path() -> Option<PathBuf> {
 }
 
 /// Stable small ordinal for the calling thread (assigned on first use).
-pub fn thread_ordinal() -> u32 {
+fn thread_ordinal() -> u32 {
     static NEXT: AtomicU32 = AtomicU32::new(0);
     thread_local! {
         static ORDINAL: u32 = NEXT.fetch_add(1, Ordering::Relaxed);

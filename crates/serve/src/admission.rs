@@ -1,17 +1,11 @@
-//! Admission control and scheduling policy.
+//! Admission control and scheduling.
 //!
 //! The service accepts work through a **bounded submission queue** (back
 //! pressure instead of unbounded memory growth) and drains it under one
-//! of two policies ([`SchedulingPolicy`]):
-//!
-//! * **`Priority`** (FIFO-with-priority): among queued jobs that are
-//!   *eligible* right now, the highest tenant priority wins, ties broken
-//!   by submission order.
-//! * **`FairShare`** (weighted DRF, [`crate::fairshare`]): among tenants
-//!   with an eligible job, the one with the lowest weighted dominant
-//!   share over cores + catalog storage wins (exact share ties by lowest
-//!   weighted lifetime dispatch count, then tenant id); within that
-//!   tenant, submission order. Tenant priorities are ignored.
+//! policy, dominant-resource fairness ([`crate::fairshare`]): among
+//! tenants with an eligible job, the one with the lowest dominant share
+//! over cores + catalog storage wins (exact share ties by fewest lifetime
+//! dispatches, then tenant id); within that tenant, submission order.
 //!
 //! A job is eligible when
 //!
@@ -38,13 +32,11 @@
 //! Scheduling affects *when* a tenant's iteration runs, never *what* it
 //! produces: the determinism contract is enforced one layer down
 //! (provenance-keyed signatures that fold each session's seed into the
-//! chain), so the policy here is free to reorder across tenants for
-//! latency or fairness.
+//! chain), so the pick is free to reorder across tenants for fairness.
 
-use crate::fairshare::{DrfAllocator, FairnessAudit, SchedulingPolicy, TenantAudit, SHARE_SCALE};
+use crate::fairshare::{DrfAllocator, FairnessAudit, TenantAudit};
 use crate::ticket::TicketState;
 use helix_core::{Session, Workflow};
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -61,8 +53,6 @@ pub struct AdmissionCaps {
 /// One queued iteration.
 pub(crate) struct Job {
     pub seq: u64,
-    /// Tenant priority, copied at submission time.
-    pub priority: u8,
     pub tenant: String,
     /// The tenant's trace track label, built once per session.
     pub track: Arc<str>,
@@ -93,8 +83,7 @@ struct SessionLane {
 #[derive(Default)]
 struct TenantLane {
     name: String,
-    /// Priority and concurrency cap of the tenant's latest submission.
-    priority: u8,
+    /// Concurrency cap of the tenant's latest submission.
     max_concurrent: usize,
     /// Idle sessions with queued work, keyed `(head seq, session id)` —
     /// dispatchable while the tenant is under its session cap.
@@ -139,37 +128,16 @@ pub(crate) struct AdmissionQueue {
     /// Queued + dispatched: zero means fully drained.
     jobs_in_system: usize,
     pub shutdown: bool,
-    /// Which policy `pick` applies across tenants.
-    policy: SchedulingPolicy,
-    /// The DRF ledger: maintained under *both* policies so the fairness
-    /// audit and per-tenant dominant shares are always observable.
+    /// The DRF ledger `pick` orders tenants by.
     drf: DrfAllocator,
-    /// Audit totals (per-tenant counters live in the tenant lanes).
+    /// Audit total (per-tenant counters live in the tenant lanes).
     picks: u64,
-    non_drf_picks: u64,
-    max_share_gap_scaled: u128,
 }
 
 impl AdmissionQueue {
-    /// A priority-policy queue with unit resource capacities (unit tests;
-    /// the service uses [`with_policy`](Self::with_policy)).
-    #[cfg(test)]
-    pub fn new(caps: AdmissionCaps) -> AdmissionQueue {
-        Self::with_policy(caps, SchedulingPolicy::Priority, 1, 1)
-    }
-
-    /// A queue applying `policy` over `cores_capacity` core tokens and
-    /// `storage_capacity` catalog bytes (the DRF share denominators).
-    pub fn with_policy(
-        caps: AdmissionCaps,
-        policy: SchedulingPolicy,
-        cores_capacity: u64,
-        storage_capacity: u64,
-    ) -> AdmissionQueue {
-        let weights = match &policy {
-            SchedulingPolicy::FairShare { weights } => weights.clone(),
-            SchedulingPolicy::Priority => Default::default(),
-        };
+    /// A queue over `cores_capacity` core tokens and `storage_capacity`
+    /// catalog bytes (the DRF share denominators).
+    pub fn new(caps: AdmissionCaps, cores_capacity: u64, storage_capacity: u64) -> AdmissionQueue {
         AdmissionQueue {
             caps,
             tenants: Vec::new(),
@@ -180,11 +148,8 @@ impl AdmissionQueue {
             next_seq: 0,
             jobs_in_system: 0,
             shutdown: false,
-            policy,
-            drf: DrfAllocator::new(cores_capacity, storage_capacity).with_weights(weights),
+            drf: DrfAllocator::new(cores_capacity, storage_capacity),
             picks: 0,
-            non_drf_picks: 0,
-            max_share_gap_scaled: 0,
         }
     }
 
@@ -230,7 +195,7 @@ impl AdmissionQueue {
             }
         };
         let lane = &mut self.tenants[tenant];
-        (lane.priority, lane.max_concurrent) = (job.priority, job.tenant_max_concurrent);
+        lane.max_concurrent = job.tenant_max_concurrent;
         lane.queued += 1;
         let session_id = job.session_id;
         let session = self
@@ -247,37 +212,16 @@ impl AdmissionQueue {
         self.queued > 0 && self.dispatched_total < self.caps.max_concurrent_iterations
     }
 
-    /// Remove and return the next dispatchable job per the policy, marking
-    /// it dispatched; `None` when nothing is eligible.
+    /// Remove and return the next dispatchable job — the DRF choice
+    /// among the tenants with a candidate, that tenant's earliest idle
+    /// session — marking it dispatched; `None` when nothing is eligible.
     pub fn pick(&mut self) -> Option<Job> {
         if !self.can_dispatch() {
             return None;
         }
-        // The DRF reference choice at decision-time shares, over the
-        // tenants that have a candidate: FairShare's pick, and what the
-        // audit compares Priority's against.
         let with_candidate = self.tenants.iter().filter(|lane| lane.candidate().is_some());
-        let drf_choice =
-            self.tenant_index[self.drf.pick(with_candidate.map(|l| l.name.as_str()))?];
-        let picked = match &self.policy {
-            // Strictly higher priority wins; at equal priority the
-            // earlier submission does.
-            SchedulingPolicy::Priority => {
-                let ranked = self.tenants.iter().enumerate().filter_map(|(ix, lane)| {
-                    lane.candidate().map(|candidate| (Reverse(lane.priority), candidate, ix))
-                });
-                ranked.min()?.2
-            }
-            SchedulingPolicy::FairShare { .. } => drf_choice,
-        };
-        // Audit the decision against the DRF ledger (both policies).
+        let picked = self.tenant_index[self.drf.pick(with_candidate.map(|l| l.name.as_str()))?];
         self.picks += 1;
-        if picked != drf_choice {
-            self.non_drf_picks += 1;
-            let share = |ix: usize| self.drf.dominant_share_scaled(&self.tenants[ix].name);
-            let gap = share(picked).saturating_sub(share(drf_choice));
-            self.max_share_gap_scaled = self.max_share_gap_scaled.max(gap);
-        }
         // Wait streaks measure *consecutive* picks while continuously
         // eligible: a tenant with no candidate at this pick (cap reached,
         // sessions busy) was not waiting, so its streak restarts.
@@ -304,7 +248,7 @@ impl AdmissionQueue {
         self.drf.acquire(&job.tenant);
         self.relist(session_id);
         // Trace the enqueue→pick wait retrospectively, carrying the
-        // tenant's (weighted, scaled) dominant share at pick time.
+        // tenant's scaled dominant share at pick time.
         if helix_obs::tracing_enabled() {
             let waited = helix_common::timing::duration_to_nanos(job.enqueued.elapsed());
             let share_at_pick = self.drf.dominant_share_scaled(&job.tenant);
@@ -342,16 +286,11 @@ impl AdmissionQueue {
         }
     }
 
-    /// `tenant`'s weighted dominant share computed against `bytes` of
+    /// `tenant`'s dominant share computed against `bytes` of
     /// storage usage — read-only (the stats path must not write into the
     /// scheduler's ledger).
     pub fn dominant_share(&self, tenant: &str, bytes: u64) -> f64 {
         self.drf.dominant_share_given_bytes(tenant, bytes)
-    }
-
-    /// The DRF weight in force for `tenant`.
-    pub fn weight_of(&self, tenant: &str) -> u32 {
-        self.drf.weight_of(tenant)
     }
 
     /// Snapshot the fairness audit. A tenant appears once it has had a
@@ -364,12 +303,7 @@ impl AdmissionQueue {
                 TenantAudit { dispatches: l.dispatches, max_eligible_wait: l.max_wait },
             )
         });
-        FairnessAudit {
-            picks: self.picks,
-            non_drf_picks: self.non_drf_picks,
-            max_share_gap: self.max_share_gap_scaled as f64 / SHARE_SCALE as f64,
-            per_tenant: per_tenant.collect(),
-        }
+        FairnessAudit { picks: self.picks, non_drf_picks: 0, per_tenant: per_tenant.collect() }
     }
 
     /// Remove a still-queued job of `session_id` by its ticket
@@ -438,14 +372,13 @@ mod tests {
 
     /// The queue never touches a job's session, so every test job shares
     /// one (opening a session per job dominates a 240 000-event run).
-    fn job(tenant: &str, priority: u8, session_id: u64, cap: usize) -> Job {
+    fn job(tenant: &str, session_id: u64, cap: usize) -> Job {
         static SESSION: OnceLock<Arc<Mutex<Session>>> = OnceLock::new();
         let session = SESSION.get_or_init(|| {
             Arc::new(Mutex::new(Session::new(SessionConfig::in_memory()).expect("session opens")))
         });
         Job {
             seq: 0,
-            priority,
             tenant: tenant.to_string(),
             track: format!("tenant-{tenant}").into(),
             tenant_max_concurrent: cap,
@@ -461,31 +394,27 @@ mod tests {
         AdmissionCaps { queue_capacity: queue, max_concurrent_iterations: running }
     }
 
+    /// A queue with unit resource capacities.
+    fn unit_queue(caps: AdmissionCaps) -> AdmissionQueue {
+        AdmissionQueue::new(caps, 1, 1)
+    }
+
     #[test]
     fn fifo_within_equal_priority() {
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("a", 0, 1, 4));
-        q.enqueue(job("b", 0, 2, 4));
+        let mut q = unit_queue(caps(10, 10));
+        q.enqueue(job("a", 1, 4));
+        q.enqueue(job("b", 2, 4));
         assert_eq!(q.pick().unwrap().tenant, "a");
         assert_eq!(q.pick().unwrap().tenant, "b");
         assert!(q.pick().is_none());
     }
 
     #[test]
-    fn higher_priority_jumps_the_queue() {
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("steerage", 0, 1, 4));
-        q.enqueue(job("first-class", 3, 2, 4));
-        assert_eq!(q.pick().unwrap().tenant, "first-class");
-        assert_eq!(q.pick().unwrap().tenant, "steerage");
-    }
-
-    #[test]
     fn per_tenant_cap_counts_active_sessions() {
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("a", 0, 1, 1));
-        q.enqueue(job("a", 0, 2, 1)); // same tenant, different session
-        q.enqueue(job("b", 0, 3, 1));
+        let mut q = unit_queue(caps(10, 10));
+        q.enqueue(job("a", 1, 1));
+        q.enqueue(job("a", 2, 1)); // same tenant, different session
+        q.enqueue(job("b", 3, 1));
         let first = q.pick().unwrap();
         assert_eq!((first.tenant.as_str(), first.session_id), ("a", 1));
         // Tenant a has one active session — at its cap of 1: b goes next
@@ -498,9 +427,9 @@ mod tests {
 
     #[test]
     fn remove_queued_cancels_only_undispatched_jobs() {
-        let mut q = AdmissionQueue::new(caps(10, 10));
-        q.enqueue(job("a", 0, 1, 4));
-        q.enqueue(job("b", 0, 2, 4));
+        let mut q = unit_queue(caps(10, 10));
+        q.enqueue(job("a", 1, 4));
+        q.enqueue(job("b", 2, 4));
         let picked = q.pick().unwrap();
         assert_eq!(picked.tenant, "a");
         assert!(
@@ -518,34 +447,32 @@ mod tests {
 
     #[test]
     fn a_session_never_has_two_jobs_dispatched() {
-        for policy in [SchedulingPolicy::Priority, SchedulingPolicy::fair()] {
-            let mut q = AdmissionQueue::with_policy(caps(10, 10), policy, 4, 1 << 20);
-            for _ in 0..3 {
-                q.enqueue(job("a", 0, 7, 4));
-            }
-            q.enqueue(job("b", 0, 8, 4));
-            assert_eq!(q.pick().unwrap().session_id, 7);
-            assert_eq!(q.pick().unwrap().session_id, 8, "a busy session's later job waits");
-            assert!(q.pick().is_none(), "never a second dispatched job of session 7");
-            assert_eq!(q.snapshot().running, 2);
-            // Each retirement admits exactly the session's next job.
-            for left in [1, 0] {
-                q.finish("a", 7);
-                assert_eq!(q.pick().unwrap().session_id, 7);
-                assert!(q.pick().is_none());
-                assert_eq!(q.snapshot().queued, left);
-            }
-            q.finish("a", 7);
-            q.finish("b", 8);
-            assert!(q.is_drained());
+        let mut q = AdmissionQueue::new(caps(10, 10), 4, 1 << 20);
+        for _ in 0..3 {
+            q.enqueue(job("a", 7, 4));
         }
+        q.enqueue(job("b", 8, 4));
+        assert_eq!(q.pick().unwrap().session_id, 7);
+        assert_eq!(q.pick().unwrap().session_id, 8, "a busy session's later job waits");
+        assert!(q.pick().is_none(), "never a second dispatched job of session 7");
+        assert_eq!(q.snapshot().running, 2);
+        // Each retirement admits exactly the session's next job.
+        for left in [1, 0] {
+            q.finish("a", 7);
+            assert_eq!(q.pick().unwrap().session_id, 7);
+            assert!(q.pick().is_none());
+            assert_eq!(q.snapshot().queued, left);
+        }
+        q.finish("a", 7);
+        q.finish("b", 8);
+        assert!(q.is_drained());
     }
 
     #[test]
     fn global_cap_limits_dispatched_total() {
-        let mut q = AdmissionQueue::new(caps(10, 2));
+        let mut q = unit_queue(caps(10, 2));
         for s in 0..4 {
-            q.enqueue(job("t", 0, s, 8));
+            q.enqueue(job("t", s, 8));
         }
         assert!(q.pick().is_some());
         assert!(q.pick().is_some());
@@ -555,80 +482,36 @@ mod tests {
     }
 
     fn fair_queue(cores: u64) -> AdmissionQueue {
-        AdmissionQueue::with_policy(caps(64, 64), SchedulingPolicy::fair(), cores, 1 << 20)
+        AdmissionQueue::new(caps(64, 64), cores, 1 << 20)
     }
 
     #[test]
     fn fair_share_rotates_across_backlogged_tenants_ignoring_priority() {
         let mut q = fair_queue(4);
-        // A high-priority heavy tenant floods the queue first; a
-        // zero-priority light tenant arrives last.
+        // A heavy tenant floods the queue first; a light tenant arrives
+        // last.
         for s in 0..4 {
-            q.enqueue(job("heavy", 3, s, 8));
+            q.enqueue(job("heavy", s, 8));
         }
-        q.enqueue(job("light", 0, 10, 8));
+        q.enqueue(job("light", 10, 8));
         // Both start at share 0: exact tie breaks by tenant id (h < l).
         assert_eq!(q.pick().unwrap().tenant, "heavy");
         // Heavy now holds one executing-core lease; light's zero share
-        // wins despite later submission and lower priority.
+        // wins despite its later submission.
         assert_eq!(q.pick().unwrap().tenant, "light");
         // One lease each: tie again, id order.
         assert_eq!(q.pick().unwrap().tenant, "heavy");
         let audit = q.fairness();
         assert_eq!(audit.picks, 3);
-        assert_eq!(audit.non_drf_picks, 0, "fair-share picks are the DRF choice by construction");
-        assert_eq!(audit.max_share_gap, 0.0);
-    }
-
-    #[test]
-    fn fair_share_weights_entitle_proportionally_more() {
-        let weights: std::collections::BTreeMap<String, u32> =
-            [("heavy".to_string(), 2)].into_iter().collect();
-        let mut q = AdmissionQueue::with_policy(
-            caps(64, 64),
-            SchedulingPolicy::FairShare { weights },
-            2,
-            1 << 20,
-        );
-        for s in 0..4 {
-            q.enqueue(job("heavy", 0, s, 8));
-        }
-        q.enqueue(job("light", 0, 10, 8));
-        q.enqueue(job("light", 0, 11, 8));
-        let picked: Vec<String> = (0..5).map(|_| q.pick().unwrap().tenant).collect();
-        // Weight 2 halves heavy's dominant share: it takes two leases for
-        // every one of light's (ties by id).
-        assert_eq!(picked, ["heavy", "light", "heavy", "heavy", "light"]);
-    }
-
-    #[test]
-    fn priority_policy_records_drf_deviations_in_the_audit() {
-        // Under strict priority the audit *measures* unfairness: the
-        // starved light tenant's eligible-wait streak grows with the
-        // heavy backlog, and picks deviate from the DRF choice.
-        let mut q = AdmissionQueue::with_policy(caps(64, 64), SchedulingPolicy::Priority, 2, 1024);
-        for s in 0..4 {
-            q.enqueue(job("heavy", 3, s, 8));
-        }
-        q.enqueue(job("light", 0, 10, 8));
-        for _ in 0..4 {
-            assert_eq!(q.pick().unwrap().tenant, "heavy", "priority starves the light tenant");
-        }
-        assert_eq!(q.pick().unwrap().tenant, "light");
-        let audit = q.fairness();
-        assert!(audit.non_drf_picks >= 2, "picks 2..4 deviate from DRF");
-        assert!(audit.max_share_gap > 0.0);
-        assert_eq!(audit.per_tenant["light"].max_eligible_wait, 4);
-        assert_eq!(audit.per_tenant["light"].dispatches, 1);
-        assert_eq!(audit.per_tenant["heavy"].dispatches, 4);
+        assert_eq!(audit.non_drf_picks, 0, "every pick is the DRF choice by construction");
     }
 
     #[test]
     fn bounded_queue_reports_space() {
-        let mut q = AdmissionQueue::new(caps(2, 1));
+        let mut q = unit_queue(caps(2, 1));
         assert!(q.has_space());
-        q.enqueue(job("a", 0, 1, 1));
-        q.enqueue(job("a", 0, 2, 1));
+        q.enqueue(job("a", 1, 1));
+        q.enqueue(job("a", 2, 1));
         assert!(!q.has_space());
         let snap = q.snapshot();
         assert_eq!((snap.queued, snap.running, snap.queue_capacity), (2, 0, 2));
@@ -638,33 +521,31 @@ mod tests {
     #[test]
     fn byte_refresh_names_only_queued_tenants_behind_the_epoch() {
         let mut q = fair_queue(2);
-        q.enqueue(job("a", 0, 1, 4));
-        q.enqueue(job("b", 0, 2, 4));
+        q.enqueue(job("a", 1, 4));
+        q.enqueue(job("b", 2, 4));
         assert_eq!(q.stale_tenants(7), ["a", "b"]);
         assert!(q.stale_tenants(7).is_empty(), "stamped: the epoch has not moved");
         while q.pick().is_some() {}
         assert!(q.stale_tenants(8).is_empty(), "nothing queued, nothing to refresh");
-        q.enqueue(job("a", 0, 1, 4));
+        q.enqueue(job("a", 1, 4));
         assert_eq!(q.stale_tenants(8), ["a"], "a tenant rejoining behind the epoch is stale");
     }
 
     /// The specification the indexed queue is pinned against: the module
-    /// doc's three eligibility rules and two policy orderings as one scan
-    /// over a flat, seq-ordered list of queued jobs, with the audit
-    /// updated from the scan's eligible set.
+    /// doc's three eligibility rules and the DRF ordering as one scan over
+    /// a flat, seq-ordered list of queued jobs, with the audit updated
+    /// from the scan's eligible set.
     struct Spec {
         cap: usize,
-        fair: bool,
         drf: DrfAllocator,
-        /// `(seq, tenant, priority, tenant cap, session)`.
-        queue: Vec<(u64, String, u8, usize, u64)>,
+        /// `(seq, tenant, tenant cap, session)`.
+        queue: Vec<(u64, String, usize, u64)>,
         /// Sessions with a dispatched job.
         busy: HashSet<u64>,
         active: HashMap<String, usize>,
         dispatched: usize,
         audit: FairnessAudit,
         waits: BTreeMap<String, u64>,
-        gap_scaled: u128,
     }
 
     impl Spec {
@@ -675,26 +556,18 @@ mod tests {
             // Rules 3 and 2: the index of every eligible job.
             let eligible: Vec<usize> = (0..self.queue.len())
                 .filter(|&ix| {
-                    let (_, tenant, _, cap, session) = &self.queue[ix];
+                    let (_, tenant, cap, session) = &self.queue[ix];
                     !self.busy.contains(session)
                         && self.active.get(tenant).copied().unwrap_or(0) < *cap
                 })
                 .collect();
             let tenant_of = |&ix: &usize| self.queue[ix].1.as_str();
             let drf_choice = self.drf.pick(eligible.iter().map(tenant_of))?.to_string();
-            let &ix = if self.fair {
-                eligible.iter().filter(|e| tenant_of(e) == drf_choice).min()?
-            } else {
-                eligible.iter().min_by_key(|&&ix| (Reverse(self.queue[ix].2), ix))?
-            };
+            let &ix = eligible.iter().filter(|e| tenant_of(e) == drf_choice).min()?;
             let tenants: std::collections::BTreeSet<String> =
                 eligible.iter().map(|e| tenant_of(e).to_string()).collect();
-            let (seq, picked, _, _, session) = self.queue.remove(ix);
+            let (seq, picked, _, session) = self.queue.remove(ix);
             self.audit.picks += 1;
-            self.audit.non_drf_picks += u64::from(picked != drf_choice);
-            let gap = self.drf.dominant_share_scaled(&picked);
-            let gap = gap.saturating_sub(self.drf.dominant_share_scaled(&drf_choice));
-            self.gap_scaled = self.gap_scaled.max(gap);
             self.waits.retain(|tenant, _| tenants.contains(tenant));
             for tenant in tenants {
                 let entry = self.audit.per_tenant.entry(tenant.clone()).or_default();
@@ -724,52 +597,40 @@ mod tests {
 
     /// Drive the indexed queue and the specification with one seeded
     /// event stream; every observable must agree after every event.
-    fn run_against_spec(seed: u64, fair: bool, heavy: bool, events: usize) {
+    fn run_against_spec(seed: u64, heavy: bool, events: usize) {
         let mut rng = SplitMix64::new(seed);
         let tenants = 1 + rng.next_below(4);
-        // Per tenant: (priority, session cap); weights under FairShare.
-        let specs: Vec<(u8, usize)> = (0..tenants)
-            .map(|_| (rng.next_below(4) as u8, 1 + rng.next_below(3) as usize))
-            .collect();
-        let weights: BTreeMap<String, u32> =
-            (0..tenants).map(|t| (format!("t{t}"), 1 + rng.next_below(3) as u32)).collect();
+        // Per tenant: session cap.
+        let tenant_caps: Vec<usize> =
+            (0..tenants).map(|_| 1 + rng.next_below(3) as usize).collect();
         let caps = caps(usize::MAX, 1 + rng.next_below(6) as usize);
         let (cores, storage) = (1 + rng.next_below(4), 1000);
-        let policy =
-            if fair { SchedulingPolicy::FairShare { weights } } else { SchedulingPolicy::Priority };
         let mut spec = Spec {
             cap: caps.max_concurrent_iterations,
-            fair,
-            drf: match &policy {
-                SchedulingPolicy::FairShare { weights } => {
-                    DrfAllocator::new(cores, storage).with_weights(weights.clone())
-                }
-                SchedulingPolicy::Priority => DrfAllocator::new(cores, storage),
-            },
+            drf: DrfAllocator::new(cores, storage),
             queue: Vec::new(),
             busy: HashSet::new(),
             active: HashMap::new(),
             dispatched: 0,
             audit: FairnessAudit::default(),
             waits: BTreeMap::new(),
-            gap_scaled: 0,
         };
-        let mut q = AdmissionQueue::with_policy(caps, policy, cores, storage);
+        let mut q = AdmissionQueue::new(caps, cores, storage);
         // Every ticket ever issued, by seq; and the tenant of each session
         // with a dispatched job.
         let mut tickets: Vec<(u64, Arc<TicketState>)> = Vec::new();
         let mut flight: BTreeMap<u64, String> = BTreeMap::new();
         for event in 0..events {
-            let at = format!("seed {seed} fair {fair} heavy {heavy} event {event}");
+            let at = format!("seed {seed} heavy {heavy} event {event}");
             match rng.next_below(20) {
                 0..=7 => {
                     let t =
                         if heavy && rng.next_below(10) > 0 { 0 } else { rng.next_below(tenants) };
                     let session = t * 5 + rng.next_below(5);
-                    let (priority, cap) = specs[t as usize];
-                    let job = job(&format!("t{t}"), priority, session, cap);
+                    let cap = tenant_caps[t as usize];
+                    let job = job(&format!("t{t}"), session, cap);
                     tickets.push((session, Arc::clone(&job.ticket)));
-                    spec.queue.push((q.next_seq, job.tenant.clone(), priority, cap, session));
+                    spec.queue.push((q.next_seq, job.tenant.clone(), cap, session));
                     q.enqueue(job);
                 }
                 8..=12 => {
@@ -808,9 +669,8 @@ mod tests {
             assert_eq!(q.is_drained(), spec.queue.is_empty() && spec.dispatched == 0, "{at}");
         }
         let (got, want) = (q.fairness(), &spec.audit);
-        let at = format!("seed {seed} fair {fair} heavy {heavy}");
+        let at = format!("seed {seed} heavy {heavy}");
         assert_eq!((got.picks, got.non_drf_picks), (want.picks, want.non_drf_picks), "{at}");
-        assert_eq!(got.max_share_gap, spec.gap_scaled as f64 / SHARE_SCALE as f64, "{at}");
         let flat = |audit: &FairnessAudit| -> Vec<(String, u64, u64)> {
             let rows = audit.per_tenant.iter();
             rows.map(|(t, a)| (t.clone(), a.dispatches, a.max_eligible_wait)).collect()
@@ -821,10 +681,8 @@ mod tests {
     #[test]
     fn indexed_pick_reproduces_the_flat_scan_specification() {
         for seed in 0..100 {
-            for fair in [false, true] {
-                for heavy in [false, true] {
-                    run_against_spec(seed, fair, heavy, 600);
-                }
+            for heavy in [false, true] {
+                run_against_spec(seed, heavy, 600);
             }
         }
     }
@@ -839,7 +697,7 @@ mod tests {
         q.caps = caps(usize::MAX, 4);
         for i in 0..50_000u64 {
             let session = i % 256;
-            q.enqueue(job(&format!("tenant-{}", session % 8), 0, session, 2));
+            q.enqueue(job(&format!("tenant-{}", session % 8), session, 2));
         }
         let mut retired = 0;
         let mut running: VecDeque<Job> = VecDeque::new();

@@ -24,12 +24,11 @@
 //!   reuse falls out of Definition 3's equivalence, with per-tenant
 //!   attribution of self vs cross hits.
 //! * **an admission layer** ([`admission`]) — a bounded submission queue
-//!   drained under per-tenant and global concurrency caps by one of two
-//!   policies ([`SchedulingPolicy`]): FIFO-with-priority, or **weighted
-//!   dominant-resource fairness** ([`fairshare`]) over cores + catalog
+//!   drained under per-tenant and global concurrency caps by
+//!   **dominant-resource fairness** ([`fairshare`]) over cores + catalog
 //!   storage, which keeps one backlogged tenant from starving the rest
 //!   of either resource. A scheduler-event fairness audit
-//!   ([`FairnessAudit`]) is maintained under both policies.
+//!   ([`FairnessAudit`]) records dispatches and eligible-wait streaks.
 //! * **tenant-aware global eviction** — the shared catalog carries the
 //!   service's global byte budget; when a store would overflow it (even
 //!   with every tenant inside its quota), victims are chosen across
@@ -76,7 +75,7 @@ pub mod service;
 pub mod ticket;
 
 pub use admission::{AdmissionCaps, QueueSnapshot};
-pub use fairshare::{DrfAllocator, FairnessAudit, SchedulingPolicy, TenantAudit};
+pub use fairshare::{DrfAllocator, FairnessAudit, TenantAudit};
 pub use service::{HelixService, ServiceConfig, ServiceStats, TenantSpec, TenantStats};
 pub use ticket::{JobOutcome, JobTicket};
 

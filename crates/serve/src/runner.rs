@@ -1,6 +1,6 @@
 //! The pooled session runner: a fixed pool of worker threads.
 //!
-//! The admission pick (DRF/priority, run inline by
+//! The admission pick (DRF, run inline by
 //! [`dispatch`](crate::service::dispatch)) decides *which* job
 //! dispatches next; this module decides *where it runs*. Admission
 //! dispatches at most one job per session, so a dispatched job never

@@ -3,14 +3,14 @@
 //! [`HelixService`] is the long-lived process owner of the shared
 //! [`CoreBudget`], the shared [`MaterializationCatalog`], and the
 //! admission/scheduling layer. Tenants register with a [`TenantSpec`]
-//! (storage quota carved from the global budget, priority, concurrency
-//! cap), open any number of [`ServiceSession`]s, and submit iterations
-//! which run on the worker pool:
+//! (storage quota carved from the global budget, concurrency cap), open
+//! any number of [`ServiceSession`]s, and submit iterations which run on
+//! the worker pool:
 //!
 //! ```text
-//! submit ──▶ bounded queue ──▶ pick (FIFO-with-priority or
-//!                      dominant-resource fair share, per-tenant +
-//!                      global caps, one dispatched job per session)
+//! submit ──▶ bounded queue ──▶ pick (dominant-resource fair share,
+//!                      per-tenant + global caps, one dispatched job
+//!                      per session)
 //!                      ──▶ worker pool (`runner`): the worker takes
 //!                      a tenant-labeled core token, waiting on the
 //!                      budget if none is free ──▶
@@ -50,7 +50,7 @@
 //! full determinism argument).
 
 use crate::admission::{AdmissionCaps, AdmissionQueue, Job, QueueSnapshot};
-use crate::fairshare::{FairnessAudit, SchedulingPolicy};
+use crate::fairshare::FairnessAudit;
 use crate::runner::{self, Runner};
 use crate::ticket::{JobOutcome, JobTicket, TicketState};
 use helix_common::timing::Nanos;
@@ -70,15 +70,13 @@ pub struct TenantSpec {
     /// Storage quota in bytes, carved out of the service's global budget
     /// at registration time.
     pub quota_bytes: u64,
-    /// Scheduling priority (higher wins; FIFO within a priority).
-    pub priority: u8,
     /// Maximum iterations this tenant may have running at once.
     pub max_concurrent: usize,
 }
 
 impl Default for TenantSpec {
     fn default() -> TenantSpec {
-        TenantSpec { quota_bytes: 32 << 20, priority: 0, max_concurrent: 1 }
+        TenantSpec { quota_bytes: 32 << 20, max_concurrent: 1 }
     }
 }
 
@@ -87,13 +85,6 @@ impl TenantSpec {
     #[must_use]
     pub fn with_quota(mut self, bytes: u64) -> TenantSpec {
         self.quota_bytes = bytes;
-        self
-    }
-
-    /// Builder: set the scheduling priority.
-    #[must_use]
-    pub fn with_priority(mut self, priority: u8) -> TenantSpec {
-        self.priority = priority;
         self
     }
 
@@ -132,13 +123,6 @@ pub struct ServiceConfig {
     /// sound: a session keeps the seed its `SessionConfig` sets, and
     /// only an *unset* seed falls back to this value.
     pub seed: u64,
-    /// How eligible work is ordered across tenants: strict
-    /// FIFO-with-priority (the default), or weighted dominant-resource
-    /// fairness over cores + catalog storage
-    /// ([`SchedulingPolicy::FairShare`]). Scheduling affects only *when*
-    /// a tenant's iteration runs, never its bytes, so both policies pass
-    /// the same determinism suite.
-    pub scheduling: SchedulingPolicy,
 }
 
 impl ServiceConfig {
@@ -155,15 +139,7 @@ impl ServiceConfig {
             // Shared with solo sessions so an unset-seed workflow run
             // in-service and solo stays byte- and signature-identical.
             seed: helix_core::DEFAULT_SEED,
-            scheduling: SchedulingPolicy::Priority,
         }
-    }
-
-    /// Builder: set the global storage budget.
-    #[must_use]
-    pub fn with_storage_budget(mut self, bytes: u64) -> ServiceConfig {
-        self.storage_budget_bytes = bytes;
-        self
     }
 
     /// Builder: set the disk profile.
@@ -199,19 +175,6 @@ impl ServiceConfig {
     pub fn with_max_concurrent_iterations(mut self, cap: usize) -> ServiceConfig {
         self.max_concurrent_iterations = cap.max(1);
         self
-    }
-
-    /// Builder: set the scheduling policy.
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: SchedulingPolicy) -> ServiceConfig {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// Builder: equal-weight dominant-resource fair scheduling.
-    #[must_use]
-    pub fn with_fair_share(self) -> ServiceConfig {
-        self.with_scheduling(SchedulingPolicy::fair())
     }
 }
 
@@ -290,12 +253,7 @@ impl HelixService {
             budget: Arc::new(CoreBudget::new(config.cores)),
             catalog: Arc::new(catalog),
             sched: Mutex::new(SchedState {
-                queue: AdmissionQueue::with_policy(
-                    caps,
-                    config.scheduling.clone(),
-                    config.cores as u64,
-                    config.storage_budget_bytes,
-                ),
+                queue: AdmissionQueue::new(caps, config.cores as u64, config.storage_budget_bytes),
                 tenants: HashMap::new(),
                 reserved_quota: 0,
                 next_session_id: 0,
@@ -428,11 +386,6 @@ impl HelixService {
         }
     }
 
-    /// Point-in-time admission state.
-    pub fn queue_snapshot(&self) -> QueueSnapshot {
-        self.inner.sched().queue.snapshot()
-    }
-
     /// Aggregate service statistics (scheduling + catalog + cores).
     pub fn stats(&self) -> ServiceStats {
         let sched = self.inner.sched();
@@ -442,7 +395,6 @@ impl HelixService {
             let owner = self.inner.catalog.owner_stats(&name);
             let owned_bytes = self.inner.catalog.used_bytes_for(&name);
             let dominant_share = sched.queue.dominant_share(&name, owned_bytes);
-            let weight = sched.queue.weight_of(&name);
             let state = &sched.tenants[&name];
             tenants.insert(
                 name.clone(),
@@ -459,7 +411,6 @@ impl HelixService {
                     quota_bytes: state.spec.quota_bytes,
                     session_seeds: state.session_seeds.to_vec(),
                     dominant_share,
-                    weight,
                     peak_cores_leased: self.inner.budget.peak_leased_for(&name),
                 },
             );
@@ -472,7 +423,6 @@ impl HelixService {
             catalog_bytes: self.inner.catalog.total_bytes(),
             catalog_artifacts: self.inner.catalog.len(),
             queue: sched.queue.snapshot(),
-            scheduling: self.inner.config.scheduling.clone(),
             fairness: sched.queue.fairness(),
             evictions: self.inner.catalog.eviction_log(),
             catalog_recovery: self.inner.catalog.recovery_stats().clone(),
@@ -541,16 +491,14 @@ impl ServiceSession {
             sched = self.inner.space.wait(sched).expect("scheduler state poisoned");
             sched.space_waiters -= 1;
         }
-        let (priority, cap) = {
-            let state = sched
-                .tenants
-                .get(&self.tenant)
-                .ok_or_else(|| HelixError::not_found("tenant", &*self.tenant))?;
-            (state.spec.priority, state.spec.max_concurrent)
-        };
+        let cap = sched
+            .tenants
+            .get(&self.tenant)
+            .ok_or_else(|| HelixError::not_found("tenant", &*self.tenant))?
+            .spec
+            .max_concurrent;
         sched.queue.enqueue(Job {
             seq: 0,
-            priority,
             tenant: self.tenant.clone(),
             track: Arc::clone(&self.track),
             tenant_max_concurrent: cap,
@@ -580,7 +528,7 @@ impl ServiceSession {
 
     /// Submit one iteration and block for its report.
     pub fn run_iteration(&self, wf: Workflow) -> Result<IterationReport> {
-        self.submit(wf)?.wait()
+        self.submit(wf)?.wait_outcome().result
     }
 
     /// Iterations this session has completed.
@@ -624,8 +572,7 @@ pub(crate) fn cancel_queued(inner: &ServiceInner, ticket: &JobTicket) -> bool {
     true
 }
 
-/// Dispatch every job that is eligible right now: pick per the policy
-/// and hand each pick to the worker pool, which decides *where* it runs
+/// Dispatch every job that is eligible right now: pick by DRF and hand each pick to the worker pool, which decides *where* it runs
 /// (a ready job — no per-job thread). Called with the scheduler lock
 /// held at the two events that can make work eligible (see the module
 /// docs); the pick decides *which* session advances.
@@ -684,12 +631,9 @@ pub struct TenantStats {
     /// signature provenance); a session that left its seed unset shows
     /// the service default here.
     pub session_seeds: Vec<u64>,
-    /// The tenant's weighted dominant share right now (the fair-share
-    /// scheduler's ordering key): max of its executing-core and
-    /// catalog-byte fractions, divided by its weight.
+    /// The tenant's dominant share right now (the scheduler's ordering
+    /// key): max of its executing-core and catalog-byte fractions.
     pub dominant_share: f64,
-    /// The tenant's DRF weight (1 unless configured).
-    pub weight: u32,
     /// High-water mark of base core tokens this tenant's runners held
     /// simultaneously (per-tenant executing-core lease accounting).
     pub peak_cores_leased: usize,
@@ -724,10 +668,8 @@ pub struct ServiceStats {
     pub catalog_artifacts: usize,
     /// Admission state.
     pub queue: QueueSnapshot,
-    /// The scheduling policy in force.
-    pub scheduling: SchedulingPolicy,
-    /// Scheduler-event fairness audit (maintained under both policies;
-    /// under `FairShare`, `non_drf_picks == 0` by construction).
+    /// Scheduler-event fairness audit (`non_drf_picks == 0` by
+    /// construction).
     pub fairness: FairnessAudit,
     /// The bounded eviction-attribution log (quota + global-pressure
     /// events, most recent 64).
@@ -752,13 +694,6 @@ impl ServiceStats {
             return 0.0;
         }
         cross as f64 / total as f64
-    }
-
-    /// The full stats tree as a JSON value, ready for
-    /// [`serde::write_json`] / [`serde::write_json_compact`]. For
-    /// dashboards; nothing in the service reads it back.
-    pub fn to_json(&self) -> serde::Json {
-        serde::Serialize::to_json(self)
     }
 }
 
@@ -852,8 +787,8 @@ mod tests {
 
     #[test]
     fn quota_carving_respects_the_global_budget() {
-        let svc = HelixService::new(ServiceConfig::new(1).with_storage_budget(100))
-            .expect("service starts");
+        let config = ServiceConfig { storage_budget_bytes: 100, ..ServiceConfig::new(1) };
+        let svc = HelixService::new(config).expect("service starts");
         svc.register_tenant("a", TenantSpec::default().with_quota(60)).unwrap();
         assert!(
             svc.register_tenant("b", TenantSpec::default().with_quota(60)).is_err(),
@@ -999,14 +934,9 @@ mod tests {
 
     #[test]
     fn fair_share_service_drains_a_heavy_backlog_without_drf_deviations() {
-        let svc = HelixService::new(
-            ServiceConfig::new(1).with_fair_share().with_max_concurrent_iterations(2),
-        )
-        .expect("service starts");
-        // Priority 3 would let `heavy` starve `light` under the old
-        // policy; fair share ignores it.
-        svc.register_tenant("heavy", TenantSpec::default().with_max_concurrent(4).with_priority(3))
-            .unwrap();
+        let svc = HelixService::new(ServiceConfig::new(1).with_max_concurrent_iterations(2))
+            .expect("service starts");
+        svc.register_tenant("heavy", TenantSpec::default().with_max_concurrent(4)).unwrap();
         svc.register_tenant("light", TenantSpec::default()).unwrap();
         let heavy: Vec<ServiceSession> = (0..2)
             .map(|_| svc.open_session("heavy", SessionConfig::in_memory()).unwrap())
@@ -1020,14 +950,11 @@ mod tests {
         }
         tickets.push(light.submit(chain(1)).unwrap());
         for ticket in tickets {
-            ticket.wait().expect("iteration succeeds");
+            ticket.wait_outcome().result.expect("iteration succeeds");
         }
         let stats = svc.stats();
-        assert!(stats.scheduling.is_fair());
-        assert_eq!(stats.fairness.non_drf_picks, 0, "fair picks are the DRF choice");
-        assert_eq!(stats.fairness.max_share_gap, 0.0);
+        assert_eq!(stats.fairness.non_drf_picks, 0, "every pick is the DRF choice");
         assert_eq!(stats.fairness.picks, 5);
-        assert_eq!(stats.tenants["heavy"].weight, 1);
         assert!(stats.tenants["light"].dominant_share >= 0.0);
         assert!(stats.tenants["heavy"].peak_cores_leased <= stats.cores_total);
         assert_eq!(stats.tenants.values().map(|t| t.iterations).sum::<u64>(), 5);
@@ -1179,25 +1106,25 @@ mod tests {
         let b = svc.open_session("t", SessionConfig::in_memory()).unwrap();
         let running = a.submit(gated(&GATE)).unwrap(); // takes the one dispatch slot
         let queued = b.submit(tiny(1)).unwrap(); // fills the one queue slot
-        assert_eq!(svc.queue_snapshot().queued, 1);
+        assert_eq!(svc.inner.sched().queue.snapshot().queued, 1);
         std::thread::scope(|scope| {
             let blocked = scope.spawn(|| b.submit(tiny(2)));
             // The third submit must wait, not grow the queue or fail.
             while svc.inner.sched().space_waiters == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(svc.queue_snapshot().queued, 1, "the bounded queue held");
+            assert_eq!(svc.inner.sched().queue.snapshot().queued, 1, "the bounded queue held");
             assert!(!blocked.is_finished());
             // The gated job retires, its worker picks `queued`, and that
             // pick — not the eventual finish — wakes the submitter.
             GATE.store(true, Ordering::Release);
             let third = blocked.join().expect("submitter thread").expect("slot freed");
             for (ticket, value) in [(queued, 1.0), (third, 2.0)] {
-                let report = ticket.wait().expect("iteration succeeds");
+                let report = ticket.wait_outcome().result.expect("iteration succeeds");
                 assert_eq!(report.output_scalar("x").unwrap().as_f64(), Some(value));
             }
         });
-        running.wait().expect("the gated job finishes normally");
+        running.wait_outcome().result.expect("the gated job finishes normally");
         svc.drain();
         assert_eq!(svc.inner.sched().space_waiters, 0);
     }
@@ -1244,7 +1171,7 @@ mod tests {
         assert!(!queued.cancel(), "second cancel finds nothing to remove");
         GATE.store(true, Ordering::Release);
         assert!(!running.cancel(), "a dispatched job is past cancellation");
-        running.wait().expect("the gated job finishes normally");
+        running.wait_outcome().result.expect("the gated job finishes normally");
         let stats = svc.stats();
         assert_eq!(stats.tenants["a"].iterations, 1);
         assert_eq!(stats.tenants["b"].iterations, 0, "cancelled work never counts");
@@ -1282,7 +1209,7 @@ mod tests {
         assert_eq!(tickets.len(), 3);
         let values: Vec<f64> = tickets
             .into_iter()
-            .map(|t| t.wait().unwrap().output_scalar("c").unwrap().as_f64().unwrap())
+            .map(|t| t.wait_outcome().result.unwrap().output_scalar("c").unwrap().as_f64().unwrap())
             .collect();
         assert_eq!(values, vec![11.0, 21.0, 31.0]);
         assert_eq!(svc.stats().tenants["t"].iterations, 3);

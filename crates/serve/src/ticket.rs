@@ -11,8 +11,9 @@
 //! There are four ways, and a ticket yields its outcome exactly once,
 //! to whichever gets there first:
 //!
-//! * [`JobTicket::wait_outcome`] — block until the outcome arrives;
-//!   [`JobTicket::wait`] is the same, keeping only the report;
+//! * [`JobTicket::wait_outcome`] — block until the outcome arrives
+//!   (its `result` is the report; [`ServiceSession::run_iteration`](crate::ServiceSession::run_iteration)
+//!   is submit-then-wait in one call);
 //! * [`JobTicket::try_outcome`] — take the outcome if it has arrived,
 //!   never block (poll loops, latency samplers, open-loop clients that
 //!   submit many iterations before collecting any);
@@ -130,11 +131,5 @@ impl JobTicket {
             }
             slot = self.state.done.wait(slot).expect("ticket poisoned");
         }
-    }
-
-    /// Block until the iteration finishes; returns just the report
-    /// ([`wait_outcome`](Self::wait_outcome) without the timings).
-    pub fn wait(self) -> Result<IterationReport> {
-        self.wait_outcome().result
     }
 }

@@ -55,7 +55,8 @@
 //!   longer (popularity retention) and fall only when nothing unpopular
 //!   remains. Entries named by the caller's `protected` set (its current
 //!   plan) or transiently **pinned** by any in-flight iteration
-//!   ([`pin_many`](MaterializationCatalog::pin_many)) are never victims,
+//!   ([`claim_and_pin_if_present`](MaterializationCatalog::claim_and_pin_if_present))
+//!   are never victims,
 //!   so global pressure can never delete bytes an executing plan is
 //!   about to load. Every eviction (quota or global) is recorded in a
 //!   bounded attribution log
@@ -181,12 +182,12 @@ impl CatalogEntry {
     }
 
     /// Whether `owner` has a lifecycle claim.
-    pub fn is_owned_by(&self, owner: &str) -> bool {
+    fn is_owned_by(&self, owner: &str) -> bool {
         self.owners().iter().any(|o| o == owner)
     }
 
     /// Whether `owner` stored these bytes.
-    pub fn is_written_by(&self, owner: &str) -> bool {
+    fn is_written_by(&self, owner: &str) -> bool {
         self.writers().iter().any(|o| o == owner)
     }
 
@@ -1203,7 +1204,7 @@ impl MaterializationCatalog {
     /// This is the multi-tenant-safe spelling of the paper's §6.6 purge:
     /// tenant A deprecating a signature must not delete bytes tenant B
     /// still plans to load. Entries transiently pinned by an in-flight
-    /// iteration ([`pin_many`](Self::pin_many)) are never unlinked here,
+    /// iteration ([`claim_and_pin_if_present`](Self::claim_and_pin_if_present)) are never unlinked here,
     /// for the same reason they are never eviction victims — the claim
     /// a sibling session *of the same tenant* takes on a planned load
     /// adds no co-owner, so without the pin check this session's
@@ -1268,7 +1269,7 @@ impl MaterializationCatalog {
     /// order, so identical histories evict identically. Entries whose
     /// signature is in `protected` (the current iteration's plan) or
     /// transiently pinned by any in-flight iteration
-    /// ([`pin_many`](Self::pin_many)) are never touched — the pin check
+    /// ([`claim_and_pin_if_present`](Self::claim_and_pin_if_present)) are never touched — the pin check
     /// matters for *sibling sessions of the same tenant*: a claim on an
     /// artifact the tenant already owns adds no co-owner, so without the
     /// pin one session's mandatory store could quota-evict a sole-owned
@@ -1357,21 +1358,8 @@ impl MaterializationCatalog {
         self.inner.lock().global_budget
     }
 
-    /// Transiently pin `sigs` for the duration of an iteration: pinned
-    /// entries are never global-pressure victims. Pins nest (refcounts);
-    /// the session layer holds them RAII-style from plan-claim time until
-    /// the iteration retires, which closes the cross-session race a
-    /// caller-local `protected` set cannot see — tenant A's store must
-    /// not evict an artifact tenant B's *executing* plan is about to
-    /// load.
-    pub fn pin_many(&self, sigs: &[Signature]) {
-        let mut inner = self.inner.lock();
-        for sig in sigs {
-            *inner.pins.entry(*sig).or_insert(0) += 1;
-        }
-    }
-
-    /// Release pins taken by [`pin_many`](Self::pin_many).
+    /// Release pins taken by
+    /// [`claim_and_pin_if_present`](Self::claim_and_pin_if_present).
     pub fn unpin_many(&self, sigs: &[Signature]) {
         let mut inner = self.inner.lock();
         for sig in sigs {
@@ -1408,7 +1396,7 @@ impl MaterializationCatalog {
     ///    catalog states always evict identically).
     ///
     /// Entries in the caller's `protected` set (its current plan) or
-    /// pinned by any in-flight iteration ([`pin_many`](Self::pin_many))
+    /// pinned by any in-flight iteration ([`claim_and_pin_if_present`](Self::claim_and_pin_if_present))
     /// are never victims. Evictions are attributed: every owner's
     /// `global_evictions` counter increments and the bounded
     /// [`eviction_log`](Self::eviction_log) records the victim with
@@ -1623,6 +1611,14 @@ impl MaterializationCatalog {
 mod tests {
     use super::*;
     use helix_data::Scalar;
+
+    /// Pin `sigs` as an in-flight iteration's plan would (pins nest).
+    fn pin(cat: &MaterializationCatalog, sigs: &[Signature]) {
+        let mut inner = cat.inner.lock();
+        for sig in sigs {
+            *inner.pins.entry(*sig).or_insert(0) += 1;
+        }
+    }
 
     fn scalar(v: f64) -> Value {
         Value::Scalar(Scalar::F64(v))
@@ -1902,7 +1898,7 @@ mod tests {
         cat.store_owned(pinned, "a", "pinned", 0, &scalar(1.0)).unwrap();
         cat.store_owned(planned, "a", "planned", 0, &scalar(2.0)).unwrap();
         cat.store_owned(victim, "a", "victim", 0, &scalar(3.0)).unwrap();
-        cat.pin_many(&[pinned]);
+        pin(&cat, &[pinned]);
         let protected: HashSet<Signature> = [planned].into_iter().collect();
 
         cat.evict_global("a", u64::MAX, &protected).unwrap();
@@ -1911,7 +1907,7 @@ mod tests {
         assert!(cat.contains(planned), "protected entry survives unlimited pressure");
 
         // Pins nest and release; once gone the entry is fair game.
-        cat.pin_many(&[pinned]);
+        pin(&cat, &[pinned]);
         cat.unpin_many(&[pinned]);
         assert_eq!(cat.pinned_count(), 1);
         cat.unpin_many(&[pinned]);
@@ -2138,7 +2134,7 @@ mod tests {
         let cat = temp_catalog();
         let sig = Signature::of_str("pinned-load");
         cat.store_owned(sig, "t0", "n", 0, &scalar(4.0)).unwrap();
-        cat.pin_many(&[sig]);
+        pin(&cat, &[sig]);
         assert!(!cat.release(sig, "t0").unwrap(), "pinned release is a no-op");
         assert!(cat.contains(sig), "entry survives");
         let (value, _, _) = cat.load_for(sig, "t0").unwrap();

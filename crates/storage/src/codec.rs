@@ -104,26 +104,13 @@ trait Sink {
 
 /// Append-only byte sink with varint framing.
 #[derive(Default)]
-pub struct Writer {
+struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    /// New empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    /// New writer with `capacity` bytes pre-allocated. The codec sits on
-    /// the prefetch/background-write hot path, so `encode_value` passes a
-    /// cheap size hint here instead of letting the buffer double its way
-    /// up through reallocations.
-    pub fn with_capacity(capacity: usize) -> Writer {
-        Writer { buf: Vec::with_capacity(capacity) }
-    }
-
     /// Finished bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -170,7 +157,7 @@ impl Sink for Counter {
 }
 
 /// Cursor over encoded bytes with bounds and format checking.
-pub struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -1050,7 +1037,7 @@ mod tests {
         // BEFORE bounds-checking — on a 32-bit target 2^32 + 3 truncates
         // to 3 and decodes garbage as a valid shorter field. The bound
         // must be checked in u64.
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.put_varint((1u64 << 32) + 3);
         w.buf.extend_from_slice(b"abc");
         let bytes = w.into_bytes();
@@ -1175,7 +1162,7 @@ mod tests {
         // a run declared one float longer than its bytes passes it; the
         // run's own length check must refuse it.
         for n in 0..=17 {
-            let mut w = Writer::new();
+            let mut w = Writer::default();
             w.put_u8(ValueKind::Examples.to_byte());
             w.put_varint(0); // an empty feature space
             w.put_varint(1); // one example
@@ -1196,7 +1183,7 @@ mod tests {
 
     #[test]
     fn varint_boundaries() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             w.put_varint(v);
         }
@@ -1224,7 +1211,7 @@ mod tests {
 
     #[test]
     fn zigzag_boundaries() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456] {
             w.put_zigzag(v);
         }

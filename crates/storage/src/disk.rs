@@ -51,7 +51,7 @@ impl DiskProfile {
     }
 
     /// Target duration for reading `bytes` bytes.
-    pub fn read_target(&self, bytes: u64) -> Nanos {
+    fn read_target(&self, bytes: u64) -> Nanos {
         Self::target(self.read_bytes_per_sec, self.seek_nanos, bytes)
     }
 

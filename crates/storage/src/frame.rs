@@ -41,7 +41,7 @@ use helix_common::HelixError;
 
 /// Frame magic. Distinct from the legacy `HXM1` artifact magic so a
 /// pre-journal artifact is cleanly `NotAFrame`, never misparsed.
-pub const MAGIC: &[u8; 4] = b"HXF3";
+const MAGIC: &[u8; 4] = b"HXF3";
 
 /// Frame format version, and with it the catalog's
 /// ([`MaterializationCatalog::FORMAT_VERSION`](crate::MaterializationCatalog::FORMAT_VERSION)
@@ -54,7 +54,7 @@ pub const FORMAT_VERSION: u8 = 3;
 pub const HEADER_LEN: usize = 14;
 
 /// Bytes after the payload: `prev_hash` (16) + CRC-32 (4).
-pub const TRAILER_LEN: usize = 20;
+const TRAILER_LEN: usize = 20;
 
 /// The smallest possible frame (empty payload).
 pub const MIN_FRAME_LEN: usize = HEADER_LEN + TRAILER_LEN;

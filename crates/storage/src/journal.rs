@@ -231,11 +231,6 @@ impl JournalWriter {
         self.bytes
     }
 
-    /// Chain hash the next appended frame will carry as `prev_hash`.
-    pub fn last_hash(&self) -> u128 {
-        self.last_hash
-    }
-
     /// The journal file path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -263,7 +258,7 @@ mod tests {
         w.append(FrameKind::Upsert, b"entry-1").unwrap();
         w.append(FrameKind::Remove, b"entry-1-gone").unwrap();
         w.sync().unwrap();
-        let last = w.last_hash();
+        let last = w.last_hash;
         drop(w);
 
         let scan = scan_file(&path).unwrap().unwrap();

@@ -60,7 +60,7 @@ impl Domain {
     }
 
     /// Draw a change kind for this domain.
-    pub fn sample_change(self, rng: &mut SplitMix64) -> ChangeKind {
+    fn sample_change(self, rng: &mut SplitMix64) -> ChangeKind {
         let (dpr, li, ppr) = self.change_distribution();
         match rng.choose_weighted(&[dpr, li, ppr]).unwrap_or(2) {
             0 => ChangeKind::Dpr,

@@ -3,8 +3,8 @@
 //! sequences):
 //!
 //! * a capacity-gated allocation loop never exceeds the core budget, for
-//!   arbitrary weights and demand/completion sequences, and always
-//!   drains every tenant's backlog;
+//!   arbitrary demand/completion sequences, and always drains every
+//!   tenant's backlog;
 //! * the pick is deterministic under permuted (and duplicated) arrival
 //!   order of the eligible set — the decision is a pure function of the
 //!   ledger state, never of iteration order;
@@ -30,17 +30,13 @@ proptest! {
     #[test]
     fn allocation_never_exceeds_budget_and_drains(
         cores in 1u64..6,
-        weights in prop::collection::vec(1u32..5, 1..6),
         demands in prop::collection::vec(0usize..10, 1..6),
         bytes in prop::collection::vec(0u64..1_000, 1..6),
         completion_choices in prop::collection::vec(any::<u16>(), 0..512),
     ) {
-        let n = weights.len().min(demands.len()).min(bytes.len()).max(1);
+        let n = demands.len().min(bytes.len()).max(1);
         let names = tenant_names(n);
         let mut drf = DrfAllocator::new(cores, 1_000);
-        for (name, weight) in names.iter().zip(&weights) {
-            drf.set_weight(name, *weight);
-        }
         for (name, b) in names.iter().zip(&bytes) {
             drf.set_bytes(name, *b);
         }
@@ -95,13 +91,11 @@ proptest! {
         cores in 1u64..8,
         acquires in prop::collection::vec(0usize..6, 0..24),
         byte_usage in prop::collection::vec(0u64..2_000, 6),
-        weights in prop::collection::vec(1u32..4, 6),
         rotation in 0usize..6,
     ) {
         let names = tenant_names(6);
         let mut drf = DrfAllocator::new(cores, 1_000);
-        for ((name, w), b) in names.iter().zip(&weights).zip(&byte_usage) {
-            drf.set_weight(name, *w);
+        for (name, b) in names.iter().zip(&byte_usage) {
             drf.set_bytes(name, *b);
         }
         for ix in &acquires {
@@ -121,7 +115,7 @@ proptest! {
     }
 
     /// Starvation-freedom under the service's session shape (per-tenant
-    /// concurrency 1, equal weights): a continuously backlogged tenant is
+    /// concurrency 1): a continuously backlogged tenant is
     /// picked within a bounded streak of other-tenant picks. The bound
     /// follows from the ordering: an eligible tenant holds no lease (its
     /// core share is zero), so only tenants with an equal-or-lower

@@ -6,9 +6,8 @@
 //! byte. This suite enforces that directly:
 //!
 //! * **Byte identity**: the same multi-tenant service workload runs with
-//!   tracing off and tracing on, at 1/2/4/8 workers/cores and under both
-//!   `HELIX_SCHEDULING` policies (strict priority and DRF fair share),
-//!   and every tenant's encoded outputs must match byte-for-byte.
+//!   tracing off and tracing on, at 1/2/4/8 workers/cores, and every
+//!   tenant's encoded outputs must match byte-for-byte.
 //! * **Trace validity**: a traced pipelined session must export
 //!   well-formed Chrome `trace_event` JSON (the subset Perfetto loads)
 //!   with the engine and pipeline layers on one timeline.
@@ -18,7 +17,7 @@
 //! scheduling.
 
 use helix::core::{Session, SessionConfig};
-use helix::serve::{HelixService, SchedulingPolicy, ServiceConfig, TenantSpec};
+use helix::serve::{HelixService, ServiceConfig, TenantSpec};
 use helix::storage::encode_value;
 use helix::workloads::{CensusWorkload, GenomicsWorkload, Workload};
 use helix_obs::{chrome_trace_json, drain_spans, set_enabled, write_trace};
@@ -59,15 +58,12 @@ fn outputs_of(report: &helix::core::IterationReport) -> Outputs {
 
 /// Run two tenants concurrently on a shared service and return each
 /// tenant's full output trace, encoded. The only variable across calls
-/// is `workers` (= cores) and the scheduling policy — everything the
-/// fingerprint depends on is fixed.
-fn service_fingerprint(workers: usize, policy: SchedulingPolicy) -> Vec<Vec<Outputs>> {
+/// is `workers` (= cores) — everything the fingerprint depends on is
+/// fixed.
+fn service_fingerprint(workers: usize) -> Vec<Vec<Outputs>> {
     let tenants = 2;
     let service = HelixService::new(
-        ServiceConfig::new(workers)
-            .with_seed(SEED)
-            .with_max_concurrent_iterations(tenants)
-            .with_scheduling(policy),
+        ServiceConfig::new(workers).with_seed(SEED).with_max_concurrent_iterations(tenants),
     )
     .expect("service starts");
     for ix in 0..tenants {
@@ -90,7 +86,7 @@ fn service_fingerprint(workers: usize, policy: SchedulingPolicy) -> Vec<Vec<Outp
                         .collect();
                     tickets
                         .into_iter()
-                        .map(|t| outputs_of(&t.wait().expect("iteration runs")))
+                        .map(|t| outputs_of(&t.wait_outcome().result.expect("iteration runs")))
                         .collect::<Vec<Outputs>>()
                 })
             })
@@ -112,35 +108,30 @@ fn pipelined_fingerprint(workers: usize) -> Vec<Outputs> {
 }
 
 #[test]
-fn tracing_is_inert_across_workers_and_policies() {
+fn tracing_is_inert_across_worker_counts() {
     let _gate = TRACE_GATE.lock().unwrap();
-    for policy in [SchedulingPolicy::Priority, SchedulingPolicy::fair()] {
-        for workers in [1usize, 2, 4, 8] {
-            set_enabled(false);
-            let baseline = service_fingerprint(workers, policy.clone());
-            let solo_baseline = pipelined_fingerprint(workers);
+    for workers in [1usize, 2, 4, 8] {
+        set_enabled(false);
+        let baseline = service_fingerprint(workers);
+        let solo_baseline = pipelined_fingerprint(workers);
 
-            set_enabled(true);
-            drain_spans(); // start the traced run from an empty ring
-            let traced = service_fingerprint(workers, policy.clone());
-            let solo_traced = pipelined_fingerprint(workers);
-            let (events, _) = drain_spans();
-            set_enabled(false);
+        set_enabled(true);
+        drain_spans(); // start the traced run from an empty ring
+        let traced = service_fingerprint(workers);
+        let solo_traced = pipelined_fingerprint(workers);
+        let (events, _) = drain_spans();
+        set_enabled(false);
 
-            assert_eq!(
-                baseline, traced,
-                "outputs changed under tracing at {workers} workers, {policy:?}"
-            );
-            assert_eq!(
-                solo_baseline, solo_traced,
-                "pipelined outputs changed under tracing at {workers} workers"
-            );
-            // Guard against vacuity: the traced run must actually have
-            // recorded spans from the instrumented layers.
-            assert!(!events.is_empty(), "traced run recorded no spans");
-            for cat in ["engine", "serve", "storage"] {
-                assert!(events.iter().any(|e| e.cat == cat), "no {cat} spans in the traced run");
-            }
+        assert_eq!(baseline, traced, "outputs changed under tracing at {workers} workers");
+        assert_eq!(
+            solo_baseline, solo_traced,
+            "pipelined outputs changed under tracing at {workers} workers"
+        );
+        // Guard against vacuity: the traced run must actually have
+        // recorded spans from the instrumented layers.
+        assert!(!events.is_empty(), "traced run recorded no spans");
+        for cat in ["engine", "serve", "storage"] {
+            assert!(events.iter().any(|e| e.cat == cat), "no {cat} spans in the traced run");
         }
     }
 }

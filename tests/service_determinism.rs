@@ -17,24 +17,12 @@
 //! seeds, where exactly the seed-independent prefix stays shared.
 
 use helix::core::{Session, SessionConfig};
-use helix::serve::{HelixService, SchedulingPolicy, ServiceConfig, TenantSpec};
+use helix::serve::{HelixService, ServiceConfig, TenantSpec};
 use helix::storage::encode_value;
 use helix::workloads::{CensusWorkload, GenomicsWorkload, IeWorkload, MnistWorkload, Workload};
 use std::collections::BTreeMap;
 
 const SERVICE_SEED: u64 = 42;
-
-/// Apply the CI determinism matrix's scheduler selection: with
-/// `HELIX_SCHEDULING=priority|fairshare` set, every service in this suite
-/// runs under that policy — both schedulers must pass the exact same
-/// byte-identity obligations, because scheduling may reorder work but
-/// never change bytes.
-fn scheduled(config: ServiceConfig) -> ServiceConfig {
-    match SchedulingPolicy::from_env() {
-        Some(policy) => config.with_scheduling(policy),
-        None => config,
-    }
-}
 
 /// Output name → encoded bytes: everything a user sees from an iteration.
 type Outputs = BTreeMap<String, Vec<u8>>;
@@ -87,11 +75,11 @@ fn concurrent_tenants_match_solo_serial_at_every_core_count() {
     let baselines: Vec<Vec<Outputs>> = (0..tenants).map(solo_serial_trace).collect();
 
     for cores in [1usize, 2, 4, 8] {
-        let service = HelixService::new(scheduled(
+        let service = HelixService::new(
             ServiceConfig::new(cores)
                 .with_seed(SERVICE_SEED)
                 .with_max_concurrent_iterations(tenants),
-        ))
+        )
         .expect("service starts");
         for ix in 0..tenants {
             service
@@ -122,7 +110,7 @@ fn concurrent_tenants_match_solo_serial_at_every_core_count() {
                             .collect();
                         tickets
                             .into_iter()
-                            .map(|t| outputs_of(&t.wait().expect("iteration runs")))
+                            .map(|t| outputs_of(&t.wait_outcome().result.expect("iteration runs")))
                             .collect::<Vec<Outputs>>()
                     })
                 })
@@ -157,9 +145,9 @@ fn eight_tenants_on_a_tight_budget_stay_within_two_cores() {
     // high-water mark bounds the whole process.
     let cores = 2;
     let tenants = 8;
-    let service = HelixService::new(scheduled(
+    let service = HelixService::new(
         ServiceConfig::new(cores).with_seed(SERVICE_SEED).with_max_concurrent_iterations(tenants),
-    ))
+    )
     .expect("service starts");
     for ix in 0..tenants {
         service.register_tenant(&format!("t{ix}"), TenantSpec::default()).unwrap();
@@ -206,9 +194,9 @@ fn sessions_multiplexed_over_a_two_slot_pool_stay_byte_identical() {
     let pool = 2;
     let baselines: Vec<Vec<Outputs>> = (0..tenants).map(solo_serial_trace).collect();
 
-    let service = HelixService::new(scheduled(
+    let service = HelixService::new(
         ServiceConfig::new(pool).with_seed(SERVICE_SEED).with_max_concurrent_iterations(pool),
-    ))
+    )
     .expect("service starts");
     for ix in 0..tenants {
         service.register_tenant(&format!("t{ix}"), TenantSpec::default()).expect("registers");
@@ -231,7 +219,7 @@ fn sessions_multiplexed_over_a_two_slot_pool_stay_byte_identical() {
                         .collect();
                     tickets
                         .into_iter()
-                        .map(|t| outputs_of(&t.wait().expect("iteration runs")))
+                        .map(|t| outputs_of(&t.wait_outcome().result.expect("iteration runs")))
                         .collect::<Vec<Outputs>>()
                 })
             })
@@ -268,9 +256,9 @@ fn distinct_seed_tenants_reproduce_solo_bytes_and_share_the_prefix() {
     assert_ne!(baselines[0], baselines[1], "chosen seeds produce identical traces");
 
     for cores in [1usize, 2, 4, 8] {
-        let service = HelixService::new(scheduled(
+        let service = HelixService::new(
             ServiceConfig::new(cores).with_max_concurrent_iterations(seeds.len()),
-        ))
+        )
         .expect("service starts");
         service.register_tenant("leader", TenantSpec::default()).expect("tenant registers");
         service.register_tenant("follower", TenantSpec::default()).expect("tenant registers");
@@ -316,8 +304,8 @@ fn cross_tenant_reuse_is_byte_transparent() {
     // after the other makes the follower's cross-tenant hits
     // deterministic; its outputs must still be byte-identical to its solo
     // serial run even though it loads artifacts it never computed.
-    let service = HelixService::new(scheduled(ServiceConfig::new(2).with_seed(SERVICE_SEED)))
-        .expect("service starts");
+    let service =
+        HelixService::new(ServiceConfig::new(2).with_seed(SERVICE_SEED)).expect("service starts");
     service.register_tenant("leader", TenantSpec::default()).unwrap();
     service.register_tenant("follower", TenantSpec::default()).unwrap();
 
@@ -348,12 +336,12 @@ fn cross_tenant_reuse_is_byte_transparent() {
 #[test]
 fn fair_share_with_adversarial_heavy_tenant_stays_byte_identical() {
     // The fair-share acceptance shape: one heavy tenant (two sessions,
-    // maximum priority, whole backlog submitted up front) against three
-    // light tenants at every core count. Fair-share scheduling must (a)
-    // keep every session's outputs byte-identical to its solo serial
-    // run — scheduling reorders work, never bytes — and (b) audit clean:
-    // every pick is the DRF choice, so no light tenant's dominant share
-    // can fall below its entitlement while it is backlogged.
+    // whole backlog submitted up front) against three light tenants at
+    // every core count. DRF admission must (a) keep every session's
+    // outputs byte-identical to its solo serial run — scheduling
+    // reorders work, never bytes — and (b) audit clean: every pick is
+    // the DRF choice, so no light tenant's dominant share can fall below
+    // its entitlement while it is backlogged.
     let tenants = 4;
     let baselines: Vec<Vec<Outputs>> = (0..tenants).map(solo_serial_trace).collect();
 
@@ -361,12 +349,11 @@ fn fair_share_with_adversarial_heavy_tenant_stays_byte_identical() {
         let service = HelixService::new(
             ServiceConfig::new(cores)
                 .with_seed(SERVICE_SEED)
-                .with_max_concurrent_iterations(tenants + 2)
-                .with_scheduling(SchedulingPolicy::fair()),
+                .with_max_concurrent_iterations(tenants + 2),
         )
         .expect("service starts");
         service
-            .register_tenant("t0", TenantSpec::default().with_priority(3).with_max_concurrent(2))
+            .register_tenant("t0", TenantSpec::default().with_max_concurrent(2))
             .expect("heavy registers");
         for ix in 1..tenants {
             service.register_tenant(&format!("t{ix}"), TenantSpec::default()).unwrap();
@@ -393,7 +380,7 @@ fn fair_share_with_adversarial_heavy_tenant_stays_byte_identical() {
                             .collect();
                         let trace = tickets
                             .into_iter()
-                            .map(|t| outputs_of(&t.wait().expect("iteration runs")))
+                            .map(|t| outputs_of(&t.wait_outcome().result.expect("iteration runs")))
                             .collect::<Vec<Outputs>>();
                         (ix, trace)
                     })
@@ -410,12 +397,10 @@ fn fair_share_with_adversarial_heavy_tenant_stays_byte_identical() {
             );
         }
         let stats = service.stats();
-        assert!(stats.scheduling.is_fair());
         assert_eq!(
             stats.fairness.non_drf_picks, 0,
             "every pick must be the DRF choice at {cores} cores"
         );
-        assert_eq!(stats.fairness.max_share_gap, 0.0);
         assert!(stats.peak_cores_leased <= cores, "core budget violated at {cores} cores");
     }
 }

@@ -1,20 +1,20 @@
-//! The no-starvation bound, end to end through the service: under
-//! fair-share scheduling a backlogged light tenant's eligible work is
-//! never passed over for more than `tenants + cores` consecutive picks,
-//! however deep a co-tenant's backlog and however high its priority.
-//! `fairshare_props` proves the deficit bound on the admission queue
-//! alone; this drives real sessions through `HelixService` and reads the
-//! scheduler's own audit (`stats().fairness`).
+//! The no-starvation bound, end to end through the service: under DRF
+//! admission a backlogged light tenant's eligible work is never passed
+//! over for more than `tenants + cores` consecutive picks, however deep a
+//! co-tenant's backlog. `fairshare_props` proves the deficit bound on the
+//! allocator alone; this drives real sessions through `HelixService` and
+//! reads the scheduler's own audit (`stats().fairness`).
 //!
-//! The adversary: one heavy tenant with `cores + 1` sessions at maximum
-//! priority whose whole backlog is submitted up front, against three
-//! single-session light tenants. The same load replayed under strict
-//! priority must *exceed* the bound — that contrast is what the policy
-//! buys, and it keeps the fair-share assertion from passing vacuously.
+//! The adversary: one heavy tenant with `cores + 1` sessions whose whole
+//! backlog is submitted up front, against three single-session light
+//! tenants. Two checks keep the bound from passing vacuously: every
+//! light tenant must have waited at least one pick (it really queued
+//! behind the heavy backlog), and the audit must have seen one pick per
+//! submitted job (every job went through the scheduler).
 
 use helix::core::{SessionConfig, Workflow};
 use helix::data::{Scalar, Value};
-use helix::serve::{HelixService, JobTicket, SchedulingPolicy, ServiceConfig, TenantSpec};
+use helix::serve::{FairnessAudit, HelixService, JobTicket, ServiceConfig, TenantSpec};
 use std::time::Duration;
 
 const LIGHT_TENANTS: usize = 3;
@@ -35,29 +35,22 @@ fn job(version: u64) -> Workflow {
     wf
 }
 
-/// Run the adversarial load under `policy` and return the worst
-/// eligible-wait streak any light tenant saw.
-fn light_tenants_worst_wait(policy: SchedulingPolicy, cores: usize) -> u64 {
+/// Run the adversarial load and return the scheduler's audit with the
+/// number of jobs submitted.
+fn adversarial_audit(cores: usize) -> (FairnessAudit, u64) {
     let heavy_sessions = cores + 1;
     // One running iteration per core: every scheduler pick hands out a
     // core, so the pick order *is* the service order the audit measures.
     let service = HelixService::new(
-        ServiceConfig::new(cores)
-            .with_seed(42)
-            .with_max_concurrent_iterations(cores)
-            .with_scheduling(policy),
+        ServiceConfig::new(cores).with_seed(42).with_max_concurrent_iterations(cores),
     )
     .expect("service starts");
-    // A priority that dominates under the strict policy, and enough
-    // concurrency headroom to occupy every core with its own sessions.
+    // Enough concurrency headroom to occupy every core with heavy's own
+    // sessions.
     service
-        .register_tenant(
-            "heavy",
-            TenantSpec::default().with_priority(3).with_max_concurrent(heavy_sessions),
-        )
+        .register_tenant("heavy", TenantSpec::default().with_max_concurrent(heavy_sessions))
         .expect("heavy registers");
-    let light_names: Vec<String> = (0..LIGHT_TENANTS).map(|ix| format!("light-{ix}")).collect();
-    for name in &light_names {
+    for name in &light_names() {
         service.register_tenant(name, TenantSpec::default()).expect("light registers");
     }
     let open = |tenant: &str| {
@@ -66,7 +59,7 @@ fn light_tenants_worst_wait(policy: SchedulingPolicy, cores: usize) -> u64 {
             .expect("session opens")
     };
     let heavy: Vec<_> = (0..heavy_sessions).map(|_| open("heavy")).collect();
-    let light: Vec<_> = light_names.iter().map(|name| open(name)).collect();
+    let light: Vec<_> = light_names().iter().map(|name| open(name)).collect();
 
     // Heavy's whole backlog first, then the light tenants' jobs. Submits
     // never block here, so all of it is queued within microseconds.
@@ -78,13 +71,16 @@ fn light_tenants_worst_wait(policy: SchedulingPolicy, cores: usize) -> u64 {
             tickets.extend(session.submit_all(backlog).expect("submission accepted"));
         }
     }
+    let submitted = tickets.len() as u64;
     for ticket in tickets {
         let outcome = ticket.wait_timeout(Duration::from_secs(60)).expect("job completes");
         outcome.result.expect("job succeeds");
     }
+    (service.stats().fairness, submitted)
+}
 
-    let audit = service.stats().fairness;
-    light_names.iter().map(|name| audit.per_tenant[name].max_eligible_wait).max().unwrap()
+fn light_names() -> Vec<String> {
+    (0..LIGHT_TENANTS).map(|ix| format!("light-{ix}")).collect()
 }
 
 #[test]
@@ -92,17 +88,20 @@ fn light_tenants_are_never_starved_by_a_heavy_backlog_under_fair_share() {
     for cores in [1usize, 2] {
         // tenants + cores, the heavy tenant included.
         let bound = (1 + LIGHT_TENANTS + cores) as u64;
-        let fair = light_tenants_worst_wait(SchedulingPolicy::fair(), cores);
-        assert!(
-            fair <= bound,
-            "fair share let a light tenant's eligible work wait {fair} consecutive picks at \
-             {cores} cores (bound {bound})"
-        );
-        let strict = light_tenants_worst_wait(SchedulingPolicy::Priority, cores);
-        assert!(
-            strict > bound,
-            "strict priority should starve the light tenants behind the heavy backlog at \
-             {cores} cores: worst wait {strict}, bound {bound}"
-        );
+        let (audit, submitted) = adversarial_audit(cores);
+        assert_eq!(audit.picks, submitted, "one scheduler pick per submitted job at {cores} cores");
+        for name in light_names() {
+            let wait = audit.per_tenant[&name].max_eligible_wait;
+            assert!(
+                wait <= bound,
+                "{name}'s eligible work waited {wait} consecutive picks at {cores} cores \
+                 (bound {bound})"
+            );
+            assert!(
+                wait >= 1,
+                "{name} never waited behind the heavy backlog at {cores} cores: the load is \
+                 not adversarial"
+            );
+        }
     }
 }

@@ -157,13 +157,7 @@ proptest! {
         let baseline_b = solo(seed_b);
 
         for cores in [1usize, 2, 4, 8] {
-            // The CI determinism matrix replays this under both
-            // schedulers (HELIX_SCHEDULING): provenance keying must hold
-            // regardless of how admissions are ordered.
-            let mut config = ServiceConfig::new(cores).with_max_concurrent_iterations(2);
-            if let Some(policy) = helix::serve::SchedulingPolicy::from_env() {
-                config = config.with_scheduling(policy);
-            }
+            let config = ServiceConfig::new(cores).with_max_concurrent_iterations(2);
             let service = HelixService::new(config).expect("service starts");
             service.register_tenant("a", TenantSpec::default()).expect("registers");
             service.register_tenant("b", TenantSpec::default()).expect("registers");
